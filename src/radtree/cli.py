@@ -66,19 +66,60 @@ def _write_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(value, indent: int | None) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=indent)`` for dicts
+    with str keys, lists, tuples and scalars, without recursion: a parsed
+    tree may nest deeper than the interpreter's recursion limit."""
+    out: list[str] = []
+    todo: list[tuple] = [(value, 0)]  # (value, depth), or (literal text, None)
+    while todo:
+        item, depth = todo.pop()
+        if depth is None:
+            out.append(item)
+            continue
+        if isinstance(item, dict):
+            entries = [(json.dumps(key, ensure_ascii=False) + ": ", v) for key, v in item.items()]
+            brackets = "{}"
+        elif isinstance(item, (list, tuple)):
+            entries = [("", v) for v in item]
+            brackets = "[]"
+        else:
+            out.append(json.dumps(item, ensure_ascii=False))
+            continue
+        if not entries:
+            out.append(brackets)
+            continue
+        if indent is None:
+            first, sep, last = "", ", ", ""
+        else:
+            first = "\n" + " " * (indent * (depth + 1))
+            sep, last = "," + first, "\n" + " " * (indent * depth)
+        pieces: list[tuple] = [(brackets[0] + first, None)]
+        for n, (prefix, v) in enumerate(entries):
+            pieces.append(((sep if n else "") + prefix, None))
+            pieces.append((v, depth + 1))
+        pieces.append((last + brackets[1], None))
+        todo.extend(reversed(pieces))
+    return "".join(out)
+
+
 def _emit_json(args, payload) -> None:
-    indent = 2 if args.pretty else None
-    _write_text(args, json.dumps(payload, ensure_ascii=False, indent=indent) + "\n")
+    _write_text(args, _json_text(payload, 2 if args.pretty else None) + "\n")
 
 
 def _tree_json(tree, arities: ArityTable) -> dict:
-    node = {
-        "symbol": tree.symbol,
-        "kind": "structure" if arities.is_structure(tree.symbol) else "radical",
-    }
-    if tree.children:
-        node["children"] = [_tree_json(child, arities) for child in tree.children]
-    return node
+    def node_json(node) -> dict:
+        kind = "structure" if arities.is_structure(node.symbol) else "radical"
+        return {"symbol": node.symbol, "kind": kind}
+
+    root = node_json(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        if node.children:
+            out["children"] = [node_json(child) for child in node.children]
+            stack.extend(zip(node.children, out["children"]))
+    return root
 
 
 def cmd_parse(args) -> int:
@@ -176,7 +217,7 @@ def cmd_eval(args) -> int:
 
 def _read_charset(path) -> list[str]:
     chars = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
@@ -249,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", required=True)
     p.add_argument("--mode", choices=("naive", "treesim"),
                    default=_env("MODE", "treesim"))
-    p.add_argument("--lambda", dest="lam", type=float,
-                   default=float(_env("LAMBDA", "1")))
+    p.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", "1"))
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("stats", parents=[common, buckets],
@@ -281,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="padded sequence length including the EOS slot")
     p.add_argument("--mode", choices=("naive", "treesim"),
                    default=_env("MODE", "treesim"))
-    p.add_argument("--lambda", dest="lam", type=float,
-                   default=float(_env("LAMBDA", "1")))
+    p.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", "1"))
     p.add_argument("--vocab-out", default=_env("VOCAB_OUT"),
                    help="also write the vocabulary as <token><TAB><index>")
     p.set_defaults(func=cmd_export_targets)

@@ -12,11 +12,11 @@ training-corpus occurrence count (occn).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from . import _kernels
 from .errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
 from .table import DecompositionTable
 from .tree import rssl
@@ -31,8 +31,7 @@ RSSL_BUCKETS = ("simple", "sub_complex", "complex")
 OCCN_BUCKETS = ("head", "mid", "low", "tail")
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One alignment step; indices refer to the ground truth and prediction."""
 
     kind: str
@@ -40,20 +39,47 @@ class EditOp:
     pred_index: int | None = None
 
 
+def _row_deltas(gt: str, pred: str) -> list[tuple[int, int]]:
+    """Bit-parallel edit-distance DP rows (Myers 1999, Hyyrö's Levenshtein form).
+
+    Entry i holds (Pv, Mv) for DP row i = 0..len(gt): bit j-1 of Pv (Mv) is
+    set when D[i][j] - D[i][j-1] is +1 (-1), so
+    D[i][j] = i + popcount(Pv & low_j) - popcount(Mv & low_j) with
+    low_j = 2**j - 1.  Python ints make the vectors as long as ``pred``.
+    """
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in pred:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    pv, mv = mask, 0  # row 0: D[0][j] = j
+    rows = [(pv, mv)]
+    for char in gt:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = (ph << 1) | 1  # column 0 grows by one per row: D[i][0] = i
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        rows.append((pv, mv))
+    return rows
+
+
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode scalar values."""
-    return _kernels.distance(_kernels.encode(a), _kernels.encode(b))
-
-
-def _ned_similarity(gt: str, pred: str) -> Fraction:
-    if not gt and not pred:
-        return Fraction(1)
-    return 1 - Fraction(levenshtein(gt, pred), max(len(gt), len(pred)))
+    pv, mv = _row_deltas(a, b)[-1]
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def one_minus_ned(gt: str, pred: str) -> float:
     """1 - distance/max(len); two empty strings score 1."""
-    return float(_ned_similarity(gt, pred))
+    if not gt and not pred:
+        return 1.0
+    return float(1 - Fraction(levenshtein(gt, pred), max(len(gt), len(pred))))
 
 
 def align(gt: str, pred: str) -> list[EditOp]:
@@ -62,23 +88,34 @@ def align(gt: str, pred: str) -> list[EditOp]:
     Ties at equal cost resolve match/substitute first, then delete, then
     insert, so the result is deterministic.
     """
-    d = _kernels.matrix(_kernels.encode(gt), _kernels.encode(pred))
+    rows = _row_deltas(gt, pred)
     i, j = len(gt), len(pred)
+    pv, mv = rows[i]
+    d = i + pv.bit_count() - mv.bit_count()  # D[i][j], tracked along the walk
     ops: list[EditOp] = []
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            cost = 0 if gt[i - 1] == pred[j - 1] else 1
-            if d[i, j] == d[i - 1, j - 1] + cost:
-                ops.append(EditOp(MATCH if cost == 0 else SUBSTITUTE, i - 1, j - 1))
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and d[i, j] == d[i - 1, j] + 1:
+    while i > 0 and j > 0:
+        if gt[i - 1] == pred[j - 1]:
+            # Neighbouring cells differ by at most 1, so a match is optimal.
+            ops.append(EditOp(MATCH, i - 1, j - 1))
+            i -= 1
+            j -= 1
+            continue
+        d -= 1  # every other step costs 1, so its source cell holds d
+        pv, mv = rows[i - 1]
+        low = (1 << (j - 1)) - 1
+        diag = i - 1 + (pv & low).bit_count() - (mv & low).bit_count()  # D[i-1][j-1]
+        if diag == d:
+            ops.append(EditOp(SUBSTITUTE, i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif diag + (pv >> (j - 1) & 1) - (mv >> (j - 1) & 1) == d:  # D[i-1][j]
             ops.append(EditOp(DELETE, i - 1, None))
             i -= 1
-            continue
-        ops.append(EditOp(INSERT, None, j - 1))
-        j -= 1
+        else:
+            ops.append(EditOp(INSERT, None, j - 1))
+            j -= 1
+    ops.extend(EditOp(DELETE, k, None) for k in range(i - 1, -1, -1))
+    ops.extend(EditOp(INSERT, None, k) for k in range(j - 1, -1, -1))
     ops.reverse()
     return ops
 
@@ -132,27 +169,32 @@ def bucket_occn(count: int, spec: BucketSpec = DEFAULT_BUCKETS) -> str:
 
 
 class _BucketAcc:
-    __slots__ = ("count", "correct", "sim_sum", "sim_count")
+    __slots__ = ("count", "correct", "deleted", "sub_sim")
 
     def __init__(self):
         self.count = 0
         self.correct = 0
-        self.sim_sum = Fraction(0)
-        self.sim_count = 0
+        self.deleted = 0
+        self.sub_sim = Fraction(0)  # sum of char_sim over substitutions
 
-    def add(self, correct: bool, sim: Fraction | None) -> None:
-        self.count += 1
+    def add(self, count: int, correct: int, deleted: int, sub_sim: Fraction) -> None:
+        self.count += count
         self.correct += correct
-        if sim is not None:
-            self.sim_sum += sim
-            self.sim_count += 1
+        self.deleted += deleted
+        if sub_sim:  # most characters have no substitutions; skip the Fraction add
+            self.sub_sim += sub_sim
 
-    def as_dict(self) -> dict:
+    def mean_treesim(self, scope: str) -> float | None:
+        # Matches score 1 and deletions 0; "aligned" leaves deletions out.
+        sim_count = self.count if scope == "all" else self.count - self.deleted
+        return float((self.correct + self.sub_sim) / sim_count) if sim_count else None
+
+    def as_dict(self, scope: str) -> dict:
         return {
             "count": self.count,
             "correct": self.correct,
             "accuracy": self.correct / self.count if self.count else None,
-            "mean_treesim": float(self.sim_sum / self.sim_count) if self.sim_count else None,
+            "mean_treesim": self.mean_treesim(scope),
         }
 
 
@@ -220,44 +262,47 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         raise MissingId(f"{len(missing)} sample id(s) have no prediction: {shown}")
 
     line_correct = 0
-    ned_sum = Fraction(0)
-    total = _BucketAcc()
-    rssl_acc = {name: _BucketAcc() for name in RSSL_BUCKETS}
-    occn_acc = {name: _BucketAcc() for name in OCCN_BUCKETS} if occn is not None else None
-    rssl_cache: dict[str, int] = {}
-    sim_cache: dict[tuple[str, str], Fraction] = {}
+    ned_by_len: dict[int, int] = {}  # max(len) -> sum of (max(len) - distance)
+    matched: list[str] = []
+    deleted: list[str] = []
+    substituted: list[tuple[str, str]] = []
 
     for sid in ids:
         gt_text = gt[sid]
         pred_text = pred.get(sid, "")
         line_correct += gt_text == pred_text
-        ned_sum += _ned_similarity(gt_text, pred_text)
-        for op in align(gt_text, pred_text):
-            if op.kind == INSERT:
+        distance = 0
+        for kind, i, j in align(gt_text, pred_text):
+            if kind == MATCH:
+                matched.append(gt_text[i])
                 continue
-            gt_char = gt_text[op.gt_index]
-            correct = op.kind == MATCH
-            if correct:
-                sim = Fraction(1)
-            elif op.kind == SUBSTITUTE:
-                pair = (gt_char, pred_text[op.pred_index])
-                sim = sim_cache.get(pair)
-                if sim is None:
-                    sim = char_sim(*pair, table)
-                    sim_cache[pair] = sim
-            else:  # deletion: no aligned prediction
-                sim = Fraction(0) if treesim_scope == "all" else None
+            distance += 1
+            if kind == SUBSTITUTE:
+                substituted.append((gt_text[i], pred_text[j]))
+            elif kind == DELETE:
+                deleted.append(gt_text[i])
+        # Two empty strings have distance 0 and score 1.
+        longest = max(len(gt_text), len(pred_text), 1)
+        ned_by_len[longest] = ned_by_len.get(longest, 0) + longest - distance
 
-            length = rssl_cache.get(gt_char)
-            if length is None:
-                length = rssl(table.lookup(gt_char))
-                rssl_cache[gt_char] = length
-            total.add(correct, sim)
-            rssl_acc[bucket_rssl(length, buckets)].add(correct, sim)
-            if occn_acc is not None:
-                occn_acc[bucket_occn(occn.get(gt_char, 0), buckets)].add(correct, sim)
+    matched_by_char = Counter(matched)
+    deleted_by_char = Counter(deleted)
+    sub_sim: dict[str, Fraction] = {}
+    for (gt_char, pred_char), k in Counter(substituted).items():
+        sub_sim[gt_char] = sub_sim.get(gt_char, 0) + k * char_sim(gt_char, pred_char, table)
+
+    total = _BucketAcc()
+    rssl_acc = {name: _BucketAcc() for name in RSSL_BUCKETS}
+    occn_acc = {name: _BucketAcc() for name in OCCN_BUCKETS} if occn is not None else None
+    for char, count in Counter("".join(gt.values())).items():
+        tally = (count, matched_by_char[char], deleted_by_char[char], sub_sim.get(char, 0))
+        total.add(*tally)
+        rssl_acc[bucket_rssl(rssl(table.lookup(char)), buckets)].add(*tally)
+        if occn_acc is not None:
+            occn_acc[bucket_occn(occn.get(char, 0), buckets)].add(*tally)
 
     n = len(ids)
+    ned_sum = sum((Fraction(v, length) for length, v in ned_by_len.items()), Fraction(0))
     return EvalReport(
         line_count=n,
         line_correct=line_correct,
@@ -266,11 +311,11 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         char_count=total.count,
         char_correct=total.correct,
         char_accuracy=total.correct / total.count if total.count else None,
-        mean_treesim=float(total.sim_sum / total.sim_count) if total.sim_count else None,
+        mean_treesim=total.mean_treesim(treesim_scope),
         treesim_scope=treesim_scope,
-        rssl_buckets={name: acc.as_dict() for name, acc in rssl_acc.items()},
+        rssl_buckets={name: acc.as_dict(treesim_scope) for name, acc in rssl_acc.items()},
         occn_buckets=(
-            {name: acc.as_dict() for name, acc in occn_acc.items()}
+            {name: acc.as_dict(treesim_scope) for name, acc in occn_acc.items()}
             if occn_acc is not None else None
         ),
         missing_ids=missing,
@@ -284,7 +329,7 @@ def read_corpus_tsv(path) -> dict[str, str]:
     Blank lines are skipped; duplicate ids are an error.
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:

@@ -46,7 +46,7 @@ def read_labels(path, fmt: str = "plain") -> list[str]:
     if fmt not in ("plain", "tsv"):
         raise ValueError(f"format must be 'plain' or 'tsv', got {fmt!r}")
     labels: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if fmt == "plain":

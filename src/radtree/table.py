@@ -37,7 +37,7 @@ class DecompositionTable:
         """Parse a decomposition TSV file into a table."""
         arities = arities if arities is not None else ArityTable.default()
         entries: dict[str, RadicalTree] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line.strip() or line.startswith("#"):

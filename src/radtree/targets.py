@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     DuplicateEntry,
     InvalidDistribution,
@@ -80,7 +78,7 @@ class RadicalVocab:
     @classmethod
     def load(cls, path) -> RadicalVocab:
         pairs: dict[int, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line:
@@ -139,7 +137,10 @@ def radical_weights(char: str, table: DecompositionTable, mode: str,
     """
     if mode not in ("naive", "treesim"):
         raise ValueError(f"mode must be 'naive' or 'treesim', got {mode!r}")
-    lam = Fraction(lam)
+    try:
+        lam = Fraction(lam)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"lambda must be a finite number, got {lam!r}") from None
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     tree = table.lookup(char)
@@ -216,6 +217,8 @@ def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:
     """
     if reduction not in ("sum", "mean"):
         raise ValueError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
+    import numpy as np  # only this reference loss needs it; keeps CLI start-up light
+
     p = np.asarray(prob_rows, dtype=np.float64)
     t = np.asarray(targets, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)

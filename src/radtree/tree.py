@@ -61,7 +61,7 @@ class ArityTable:
     def from_file(cls, path) -> ArityTable:
         """Load ``<token><TAB><arity>`` lines; ``#`` lines and blanks are skipped."""
         entries: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line.strip() or line.startswith("#"):
@@ -136,10 +136,10 @@ def parse_sequence(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
     Raises Underflow if the sequence ends while a structure still expects
     children, TrailingTokens if tokens remain after the root subtree closed.
     """
+    # Open structure nodes, innermost last: (symbol, arity, children so far).
+    stack: list[tuple[str, int, list[RadicalTree]]] = []
     pos = 0
-
-    def build() -> RadicalTree:
-        nonlocal pos
+    while True:
         if pos >= len(tokens):
             raise Underflow(
                 f"sequence ended at token {pos} while a subtree was still incomplete"
@@ -149,16 +149,23 @@ def parse_sequence(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
         if not token:
             raise MalformedLine(f"empty token at position {pos - 1}")
         if arities.is_structure(token):
-            n = arities.arity(token)
-            return RadicalTree(token, tuple(build() for _ in range(n)))
-        return RadicalTree(token)
-
-    root = build()
+            stack.append((token, arities.arity(token), []))
+            continue
+        node = RadicalTree(token)
+        while stack:
+            symbol, arity, children = stack[-1]
+            children.append(node)
+            if len(children) < arity:
+                break
+            stack.pop()
+            node = RadicalTree(symbol, tuple(children))
+        if not stack:
+            break
     if pos != len(tokens):
         raise TrailingTokens(
             f"{len(tokens) - pos} token(s) left over at position {pos} after the tree closed"
         )
-    return root
+    return node
 
 
 def iter_preorder(tree: RadicalTree) -> Iterator[RadicalTree]:

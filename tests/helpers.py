@@ -3,8 +3,9 @@
 The oracles here deliberately take different routes than the library:
 similarity is scored by enumerating child-index paths and prefix-checking
 ancestors, with node weights derived from the closed-form product of
-1/(arity+1) along the root path; edit distance is the textbook full-matrix
-DP in plain Python.
+1/(arity+1) along the root path; edit distance and alignment are the
+textbook full-matrix DP in plain Python; the evaluation report is rebuilt
+one ground-truth character at a time with Fraction sums.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from radtree.tree import ArityTable, RadicalTree
+from radtree.metrics import bucket_occn, bucket_rssl
+from radtree.tree import ArityTable, RadicalTree, rssl
 
 DEFAULT_ARITIES = ArityTable.default()
 STRUCTURES = sorted(token for token, _ in DEFAULT_ARITIES.items())
@@ -116,8 +118,7 @@ def sim_oracle(a: RadicalTree, b: RadicalTree) -> Fraction:
     return sum((weight(p) for p in ia if p in ib and matched(p)), Fraction(0))
 
 
-def brute_levenshtein(a: str, b: str) -> int:
-    """Textbook full-matrix DP, independent of the array kernels."""
+def _dp_matrix(a: str, b: str) -> list[list[int]]:
     n, m = len(a), len(b)
     d = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
@@ -128,7 +129,104 @@ def brute_levenshtein(a: str, b: str) -> int:
         for j in range(1, m + 1):
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
-    return d[n][m]
+    return d
+
+
+def brute_levenshtein(a: str, b: str) -> int:
+    """Textbook full-matrix DP, independent of the bit-parallel kernel."""
+    return _dp_matrix(a, b)[len(a)][len(b)]
+
+
+def brute_align(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
+    """(kind, gt_index, pred_index) of the alignment read back from the full DP.
+
+    From the bottom-right cell, ties at equal cost take match/substitute
+    first, then delete (consume a gt char), then insert (a pred char).
+    """
+    d = _dp_matrix(gt, pred)
+    i, j = len(gt), len(pred)
+    ops = []
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            cost = 0 if gt[i - 1] == pred[j - 1] else 1
+            if d[i][j] == d[i - 1][j - 1] + cost:
+                ops.append(("match" if cost == 0 else "substitute", i - 1, j - 1))
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and d[i][j] == d[i - 1][j] + 1:
+            ops.append(("delete", i - 1, None))
+            i -= 1
+            continue
+        ops.append(("insert", None, j - 1))
+        j -= 1
+    return ops[::-1]
+
+
+def evaluate_oracle(gt: dict[str, str], pred: dict[str, str], table, occn=None,
+                    treesim_scope: str = "all") -> dict:
+    """The evaluation report dict, one ground-truth character at a time.
+
+    Each character adds its correctness and its Fraction similarity (1 for
+    a match, sim_oracle for a substitution, 0 or nothing for a deletion) to
+    the total and to its buckets; the DP is brute_align's.
+    """
+    def acc():
+        return {"count": 0, "correct": 0, "sim_sum": Fraction(0), "sim_count": 0}
+
+    total = acc()
+    rssl_acc = {name: acc() for name in ("simple", "sub_complex", "complex")}
+    occn_acc = {name: acc() for name in ("head", "mid", "low", "tail")} if occn is not None else None
+    ids = sorted(gt)
+    line_correct, ned_sum = 0, Fraction(0)
+    for sid in ids:
+        g, p = gt[sid], pred.get(sid, "")
+        line_correct += g == p
+        longest = max(len(g), len(p))
+        ned_sum += 1 - Fraction(brute_levenshtein(g, p), longest) if longest else 1
+        for kind, gi, pj in brute_align(g, p):
+            if kind == "insert":
+                continue
+            char = g[gi]
+            if kind == "match":
+                sim = Fraction(1)
+            elif kind == "substitute":
+                sim = sim_oracle(table.lookup(char), table.lookup(p[pj]))
+            else:
+                sim = Fraction(0) if treesim_scope == "all" else None
+            targets = [total, rssl_acc[bucket_rssl(rssl(table.lookup(char)))]]
+            if occn_acc is not None:
+                targets.append(occn_acc[bucket_occn(occn.get(char, 0))])
+            for a in targets:
+                a["count"] += 1
+                a["correct"] += kind == "match"
+                if sim is not None:
+                    a["sim_sum"] += sim
+                    a["sim_count"] += 1
+
+    def row(a):
+        return {
+            "count": a["count"],
+            "correct": a["correct"],
+            "accuracy": a["correct"] / a["count"] if a["count"] else None,
+            "mean_treesim": float(a["sim_sum"] / a["sim_count"]) if a["sim_count"] else None,
+        }
+
+    n = len(ids)
+    total_row = row(total)
+    return {
+        "line_count": n,
+        "line_correct": line_correct,
+        "line_accuracy": line_correct / n,
+        "mean_one_minus_ned": float(ned_sum / n),
+        "char_count": total_row["count"],
+        "char_correct": total_row["correct"],
+        "char_accuracy": total_row["accuracy"],
+        "mean_treesim": total_row["mean_treesim"],
+        "treesim_scope": treesim_scope,
+        "rssl_buckets": {name: row(a) for name, a in rssl_acc.items()},
+        "occn_buckets": {name: row(a) for name, a in occn_acc.items()} if occn_acc is not None else None,
+        "missing_ids": sorted(k for k in ids if k not in pred),
+    }
 
 
 def random_text(rng: random.Random, alphabet: str, max_len: int,

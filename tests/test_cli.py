@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from radtree.cli import main
+from radtree.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -47,6 +48,17 @@ class TestParse:
     def test_multichar_rejected(self, capsys):
         assert run(capsys, "parse", "好的")[0] == 2
 
+    def test_sequence_deeper_than_recursion_limit(self, capsys):
+        depth = 3000
+        tokens = ["⿰"] * depth + ["A"] * (depth + 1)
+        code, out, _ = run(capsys, "parse", "--seq", " ".join(tokens))
+        assert code == 0
+        leaf = '{"symbol": "A", "kind": "radical"}'
+        tree = ('{"symbol": "⿰", "kind": "structure", "children": [' * depth + leaf
+                + (", " + leaf + "]}") * depth)
+        assert out == (f'{{"tokens": {json.dumps(tokens, ensure_ascii=False)}, '
+                       f'"rssl": {2 * depth + 1}, "tree": {tree}}}\n')
+
 
 class TestTreesim:
     def test_identical(self, capsys, sample_table_path):
@@ -83,6 +95,24 @@ class TestWeights:
                            "--lambda", "0.5", "--table", str(sample_table_path))
         assert code == 0
         assert json.loads(out) == [1.5]
+
+    @pytest.mark.parametrize("command", [
+        ("weights", "--char", "好"),
+        ("export-targets", "--from-table", "--max-len", "8"),
+    ])
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, sample_table_path, command, lam):
+        code, out, err = run(capsys, *command, f"--lambda={lam}",
+                             "--table", str(sample_table_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"radtree: error: lambda must be a finite number, got {float(lam)!r}\n"
+
+    def test_malformed_lambda_from_environment_exits_2(self, monkeypatch):
+        monkeypatch.setenv("RADTREE_LAMBDA", "heavy")
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--char", "好"])
+        assert exc.value.code == 2
 
 
 class TestStats:
@@ -261,6 +291,25 @@ class TestPlumbing:
         code, out, _ = run(capsys, "parse", "--seq", "PAIR a b", "--arities", str(arities))
         assert code == 0
         assert json.loads(out)["rssl"] == 3
+
+    def test_json_text_matches_json_dumps(self):
+        rng = random.Random(5)
+        scalars = [0, -3, 10**20, 0.1 + 0.2, 1e-05, float("nan"), float("inf"), None, True,
+                   "", "好\t\"x\\"]
+
+        def value(depth):
+            roll = rng.random()
+            if depth > 4 or roll < 0.4:
+                return rng.choice(scalars)
+            if roll < 0.7:
+                return [value(depth + 1) for _ in range(rng.randint(0, 3))]
+            return {rng.choice("a好\n") + str(i): value(depth + 1) for i in range(rng.randint(0, 3))}
+
+        for _ in range(500):
+            payload = value(0)
+            for indent in (None, 2):
+                assert _json_text(payload, indent) == json.dumps(payload, ensure_ascii=False,
+                                                                 indent=indent)
 
     def test_output_flag_writes_file(self, capsys, tmp_path, sample_table_path):
         out_path = tmp_path / "tree.json"

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_levenshtein, random_text
-from radtree import _kernels
+from helpers import brute_align, brute_levenshtein, evaluate_oracle, random_text
 from radtree.errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
 from radtree.metrics import (
     DEFAULT_BUCKETS,
@@ -13,6 +12,7 @@ from radtree.metrics import (
     MATCH,
     OCCN_BUCKETS,
     RSSL_BUCKETS,
+    SUBSTITUTE,
     BucketSpec,
     EditOp,
     align,
@@ -25,6 +25,39 @@ from radtree.metrics import (
 )
 
 ALPHABET = "ab好妈林森x"
+# Around one and two 64-bit words, where the kernel's ints gain a digit.
+BOUNDARY_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129)
+
+
+def edited(rng: random.Random, text: str, rate: float = 0.15) -> str:
+    """``text`` with random substitutions, deletions and insertions."""
+    out = []
+    for char in text:
+        roll = rng.random()
+        if roll < rate / 3:
+            out.append(rng.choice(ALPHABET))
+        elif roll < 2 * rate / 3:
+            continue
+        elif roll < rate:
+            out += [char, rng.choice(ALPHABET)]
+        else:
+            out.append(char)
+    return "".join(out)
+
+
+def random_pairs(rng: random.Random, count: int, max_len: int):
+    """Unrelated and near-identical pairs, plus pairs at word-boundary lengths."""
+    for _ in range(count):
+        a = random_text(rng, ALPHABET, max_len)
+        yield a, random_text(rng, ALPHABET, max_len)
+        yield a, edited(rng, a)
+    for n in BOUNDARY_LENGTHS:
+        for m in BOUNDARY_LENGTHS:
+            a = random_text(rng, ALPHABET, n, n)
+            b = random_text(rng, ALPHABET, m, m)
+            yield a, b
+            yield a, edited(rng, a)
+            yield edited(rng, b), b
 
 
 class TestLevenshtein:
@@ -36,11 +69,8 @@ class TestLevenshtein:
         assert levenshtein("abc", "") == 3
 
     def test_matches_brute_force(self):
-        rng = random.Random(41)
-        for _ in range(300):
-            a = random_text(rng, ALPHABET, 12)
-            b = random_text(rng, ALPHABET, 12)
-            assert levenshtein(a, b) == brute_levenshtein(a, b)
+        for a, b in random_pairs(random.Random(41), 300, 12):
+            assert levenshtein(a, b) == brute_levenshtein(a, b), (a, b)
 
     def test_symmetric(self):
         rng = random.Random(43)
@@ -48,14 +78,6 @@ class TestLevenshtein:
             a = random_text(rng, ALPHABET, 10)
             b = random_text(rng, ALPHABET, 10)
             assert levenshtein(a, b) == levenshtein(b, a)
-
-    def test_numpy_fallback_agrees_with_selected_backend(self):
-        rng = random.Random(47)
-        for _ in range(200):
-            a = _kernels.encode(random_text(rng, ALPHABET, 15))
-            b = _kernels.encode(random_text(rng, ALPHABET, 15))
-            assert _kernels._distance_np(a, b) == _kernels.distance(a, b)
-            assert (_kernels._matrix_np(a, b) == _kernels.matrix(a, b)).all()
 
 
 class TestOneMinusNed:
@@ -109,6 +131,20 @@ class TestAlign:
 
     def test_deterministic(self):
         assert align("abc", "cab") == align("abc", "cab")
+
+    def test_matches_brute_force_oracle(self):
+        for a, b in random_pairs(random.Random(57), 300, 12):
+            ops = [(op.kind, op.gt_index, op.pred_index) for op in align(a, b)]
+            assert ops == brute_align(a, b), (a, b)
+
+    def test_tie_break_order(self):
+        # "ab" -> "ba": substitute twice, delete+insert, or insert+delete all cost 2.
+        assert brute_align("ab", "ba") == [("substitute", 0, 0), ("substitute", 1, 1)]
+        assert align("ab", "ba") == [EditOp(SUBSTITUTE, 0, 0), EditOp(SUBSTITUTE, 1, 1)]
+        # "a" -> "ba": match the a, insert the b; delete-first paths cost more.
+        assert align("a", "ba") == [EditOp(INSERT, None, 0), EditOp(MATCH, 0, 1)]
+        assert align("ab", "") == [EditOp(DELETE, 0, None), EditOp(DELETE, 1, None)]
+        assert align("", "ab") == [EditOp(INSERT, None, 0), EditOp(INSERT, None, 1)]
 
 
 class TestBuckets:
@@ -251,6 +287,20 @@ class TestEvaluate:
         second = evaluate(gt, pred, sample_table).to_dict()
         assert first == second
 
+    @pytest.mark.parametrize("scope", ["all", "aligned"])
+    @pytest.mark.parametrize("with_occn", [False, True])
+    def test_matches_per_character_oracle(self, sample_table, scope, with_occn):
+        rng = random.Random(79)
+        for _ in range(10):
+            gt = {f"s{i}": random_text(rng, ALPHABET, 15) for i in range(30)}
+            gt["long"] = random_text(rng, ALPHABET, 140, 60)
+            pred = {k: edited(rng, v, rng.choice((0.0, 0.2, 0.6))) for k, v in gt.items()
+                    if rng.random() > 0.1}
+            pred["not-in-gt"] = "x"
+            occn = {c: rng.randint(0, 150) for c in ALPHABET[:-1]} if with_occn else None
+            report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
+
     def test_scope_validation(self, sample_table):
         with pytest.raises(ValueError):
             evaluate({"1": "a"}, {"1": "a"}, sample_table, treesim_scope="bogus")
@@ -262,6 +312,11 @@ class TestReadCorpusTsv:
         path.write_text("a\t好妈\nb\t\nc\tx\ty\n", encoding="utf-8")
         corpus = read_corpus_tsv(path)
         assert corpus == {"a": "好妈", "b": "", "c": "x\ty"}
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("\ufeffa\t好\n", encoding="utf-8")
+        assert read_corpus_tsv(path) == {"a": "好"}
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "gt.tsv"

@@ -36,6 +36,10 @@ class TestLoad:
         with pytest.raises(MalformedLine):
             DecompositionTable.load(write(tmp_path, "好\t⿰ 女\t子\n"))
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        table = DecompositionTable.load(write(tmp_path, "\ufeff好\t⿰ 女 子\n"))
+        assert table.chars() == ["好"]
+
     def test_multichar_key_rejected(self, tmp_path):
         with pytest.raises(MalformedLine):
             DecompositionTable.load(write(tmp_path, "好的\t好\n"))

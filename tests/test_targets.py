@@ -119,6 +119,9 @@ class TestRadicalWeights:
             radical_weights("好", sample_table, "fancy")
         with pytest.raises(ValueError):
             radical_weights("好", sample_table, "treesim", -1)
+        for lam in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="lambda must be a finite number"):
+                radical_weights("好", sample_table, "treesim", lam)
 
 
 class TestExportTargets:

@@ -87,12 +87,13 @@ class TestParseSequence:
         assert tree == node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
 
     def test_underflow_on_missing_child(self, arities):
-        with pytest.raises(Underflow):
+        with pytest.raises(Underflow, match="^sequence ended at token 2 while a subtree"):
             parse_sequence(["⿰", "A"], arities)
 
     def test_trailing_tokens_after_complete_tree(self, arities):
-        with pytest.raises(TrailingTokens):
-            parse_sequence(["A", "B"], arities)
+        with pytest.raises(TrailingTokens,
+                           match=r"^2 token\(s\) left over at position 3 after the tree closed$"):
+            parse_sequence(["⿰", "A", "B", "C", "D"], arities)
 
     def test_empty_sequence_underflows(self, arities):
         with pytest.raises(Underflow):
@@ -132,6 +133,19 @@ class TestSerialization:
     @given(trees())
     def test_round_trip(self, tree):
         assert parse_sequence(to_preorder(tree), DEFAULT_ARITIES) == tree
+
+    def test_round_trip_deep_left_spine(self, arities):
+        # 10001 nodes, 5000 levels: far past the interpreter's recursion limit.
+        tokens = ["⿰"] * 5000 + ["A"] * 5001
+        tree = parse_sequence(tokens, arities)
+        assert to_preorder(tree) == tokens
+        assert rssl(tree) == 10001
+        depth = 0
+        while tree.children:
+            assert tree.children[1] == leaf("A")
+            tree = tree.children[0]
+            depth += 1
+        assert depth == 5000
 
     def test_round_trip_random(self, arities):
         rng = random.Random(11)
