@@ -1,11 +1,12 @@
 """Batch command-line interface.
 
-Subcommands: parse, treesim, weights, stats, eval, export-targets.  All
-outputs are deterministic JSON (or JSON lines); ``--pretty`` indents and,
-for eval, prints a human-readable summary table.  Every flag can also be
-set through the environment with a RADTREE_ prefix (RADTREE_TABLE,
-RADTREE_OUTPUT, ...).  Exit codes: 0 success, 2 domain or parse error,
-3 I/O error.
+Subcommands: parse, treesim, weights, stats, eval, export-targets; each
+takes only the flags it reads.  Outputs are deterministic JSON, JSON lines
+or (treesim) one number; ``--pretty`` indents JSON and, for eval, prints a
+human-readable summary table.  Every flag but the inputs and --max-len
+can also be set through the environment with a RADTREE_ prefix
+(RADTREE_TABLE, RADTREE_OUTPUT, ...).
+Exit codes: 0 success, 2 domain or parse error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -47,14 +48,20 @@ def _load_table(args) -> DecompositionTable:
 
 def _bucket_spec(args) -> BucketSpec:
     kwargs = {}
-    rssl_spec = getattr(args, "rssl_buckets", None)
-    if rssl_spec:
-        simple_max, complex_min = (int(x) for x in rssl_spec.split(","))
-        kwargs.update(rssl_simple_max=simple_max, rssl_complex_min=complex_min)
-    occn_spec = getattr(args, "occn_buckets", None)
-    if occn_spec:
-        head, mid, low = (int(x) for x in occn_spec.split(","))
-        kwargs.update(occn_head_min=head, occn_mid_min=mid, occn_low_min=low)
+    for flag, form, fields in (
+        ("--rssl-buckets", "SIMPLE_MAX,COMPLEX_MIN", ("rssl_simple_max", "rssl_complex_min")),
+        ("--occn-buckets", "HEAD,MID,LOW", ("occn_head_min", "occn_mid_min", "occn_low_min")),
+    ):
+        spec = getattr(args, flag[2:].replace("-", "_"), None)  # absent: not this command's flag
+        if not spec:
+            continue
+        try:
+            bounds = [int(x) for x in spec.split(",")]
+        except ValueError:
+            bounds = []
+        if len(bounds) != len(fields):
+            raise RadtreeError(f"{flag} expects {form}, got {spec!r}")
+        kwargs.update(zip(fields, bounds))
     return BucketSpec(**kwargs)
 
 
@@ -254,18 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="arity table TSV overriding the built-in structure set")
     common.add_argument("--output", "-o", default=_env("OUTPUT"),
                         help="output path (default: stdout)")
-    common.add_argument("--pretty", action="store_true", default=_env_flag("PRETTY"),
-                        help="indent JSON; eval also prints a summary table")
-    common.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
-                        help="fail when a ground-truth id has no prediction")
 
-    buckets = argparse.ArgumentParser(add_help=False)
-    buckets.add_argument("--rssl-buckets", default=_env("RSSL_BUCKETS"),
-                         metavar="SIMPLE_MAX,COMPLEX_MIN",
-                         help="complexity bucket bounds, e.g. 4,7")
-    buckets.add_argument("--occn-buckets", default=_env("OCCN_BUCKETS"),
-                         metavar="HEAD,MID,LOW",
-                         help="frequency bucket bounds, e.g. 100,50,20")
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", default=_env_flag("PRETTY"),
+                        help="indent JSON; eval also prints a summary table")
+
+    rssl_buckets = argparse.ArgumentParser(add_help=False)
+    rssl_buckets.add_argument("--rssl-buckets", default=_env("RSSL_BUCKETS"),
+                              metavar="SIMPLE_MAX,COMPLEX_MIN",
+                              help="complexity bucket bounds, e.g. 4,7")
 
     parser = argparse.ArgumentParser(
         prog="radtree",
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common],
+    p = sub.add_parser("parse", parents=[common, pretty],
                        help="parse a character or preorder sequence into a tree")
     p.add_argument("char", nargs="?", help="character to look up in the table")
     p.add_argument("--seq", help="space-separated preorder token sequence")
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("char2")
     p.set_defaults(func=cmd_treesim)
 
-    p = sub.add_parser("weights", parents=[common],
+    p = sub.add_parser("weights", parents=[common, pretty],
                        help="per-position loss weights for one character")
     p.add_argument("--char", required=True)
     p.add_argument("--mode", choices=("naive", "treesim"),
@@ -293,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", "1"))
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("stats", parents=[common, buckets],
+    p = sub.add_parser("stats", parents=[common, pretty, rssl_buckets],
                        help="occurrence counts and complexity distribution of a corpus")
     p.add_argument("--input", required=True, help="label file")
     p.add_argument("--input-format", choices=("plain", "tsv"),
                    default=_env("INPUT_FORMAT", "plain"))
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("eval", parents=[common, buckets],
+    p = sub.add_parser("eval", parents=[common, pretty, rssl_buckets],
                        help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth TSV (<id><TAB><text>)")
     p.add_argument("--pred", required=True, help="prediction TSV (<id><TAB><text>)")
@@ -310,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env("TRAIN_FORMAT", "plain"))
     p.add_argument("--treesim-scope", choices=("all", "aligned"),
                    default=_env("TREESIM_SCOPE", "all"))
+    p.add_argument("--occn-buckets", default=_env("OCCN_BUCKETS"), metavar="HEAD,MID,LOW",
+                   help="frequency bucket bounds, e.g. 100,50,20")
+    p.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
+                   help="fail when a ground-truth id has no prediction")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-targets", parents=[common],

@@ -13,7 +13,7 @@ training-corpus occurrence count (occn).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -216,20 +216,7 @@ class EvalReport:
     missing_ids: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "line_count": self.line_count,
-            "line_correct": self.line_correct,
-            "line_accuracy": self.line_accuracy,
-            "mean_one_minus_ned": self.mean_one_minus_ned,
-            "char_count": self.char_count,
-            "char_correct": self.char_correct,
-            "char_accuracy": self.char_accuracy,
-            "mean_treesim": self.mean_treesim,
-            "treesim_scope": self.treesim_scope,
-            "rssl_buckets": self.rssl_buckets,
-            "occn_buckets": self.occn_buckets,
-            "missing_ids": self.missing_ids,
-        }
+        return asdict(self)
 
 
 def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],

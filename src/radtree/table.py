@@ -57,7 +57,10 @@ class DecompositionTable:
                     entries[char] = parse_sequence(tokens, arities)
                 except (Underflow, TrailingTokens) as exc:
                     raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-        return cls(entries, arities)
+        # parse_sequence already enforced the arities that __init__ checks.
+        table = cls.__new__(cls)
+        table.arities, table._entries = arities, entries
+        return table
 
     def save(self, path) -> None:
         """Write the table back out in the same TSV format, entry order preserved."""

@@ -124,6 +124,37 @@ class RadicalTree:
     def is_leaf(self) -> bool:
         return not self.children
 
+    # The dataclass would generate these three recursively; one preorder walk
+    # gives the same results on trees of any depth.
+
+    def _shape(self) -> list[tuple[str, int]]:
+        """Preorder (symbol, child count) pairs, which determine an ordered tree."""
+        return [(node.symbol, len(node.children)) for node in iter_preorder(self)]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list = [self]  # nodes, or literal text
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{item.__class__.__qualname__}(symbol={item.symbol!r}, children=(")
+            todo.append(",))" if len(item.children) == 1 else "))")
+            for n in range(len(item.children) - 1, -1, -1):
+                todo.append(item.children[n])
+                if n:
+                    todo.append(", ")
+        return "".join(out)
+
 
 def leaf(symbol: str) -> RadicalTree:
     """Single-node tree of one radical."""

@@ -142,6 +142,22 @@ class TestStats:
         assert code == 0
         assert json.loads(out)["occn"] == {"a": 2, "b": 2}
 
+    def test_rssl_buckets_and_pretty(self, capsys, tmp_path, sample_table_path):
+        train = tmp_path / "train.txt"
+        train.write_text("好好妈\nab\n", encoding="utf-8")
+        code, out, _ = run(capsys, "stats", "--input", str(train), "--table",
+                           str(sample_table_path), "--rssl-buckets", "2,5", "--pretty")
+        assert code == 0
+        assert out.startswith('{\n  "line_count": 2,')
+        assert json.loads(out)["rssl_distribution"]["sub_complex"]["count"] == 2
+
+    def test_bad_rssl_buckets_exits_2(self, capsys, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("ab\n", encoding="utf-8")
+        code, _, err = run(capsys, "stats", "--input", str(train), "--rssl-buckets", "4")
+        assert code == 2
+        assert err == "radtree: error: --rssl-buckets expects SIMPLE_MAX,COMPLEX_MIN, got '4'\n"
+
 
 @pytest.fixture
 def eval_files(tmp_path):
@@ -226,6 +242,31 @@ class TestEval:
                          "--rssl-buckets", "9,4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, spec, form", [
+        ("--rssl-buckets", "4", "SIMPLE_MAX,COMPLEX_MIN"),
+        ("--rssl-buckets", "4,7,9", "SIMPLE_MAX,COMPLEX_MIN"),
+        ("--rssl-buckets", "4,seven", "SIMPLE_MAX,COMPLEX_MIN"),
+        ("--rssl-buckets", "4.0,7", "SIMPLE_MAX,COMPLEX_MIN"),
+        ("--occn-buckets", "100,50", "HEAD,MID,LOW"),
+        ("--occn-buckets", "100,50,20,10", "HEAD,MID,LOW"),
+        ("--occn-buckets", "100,,20", "HEAD,MID,LOW"),
+    ])
+    def test_malformed_bucket_spec_exits_2(self, capsys, eval_files, flag, spec, form):
+        gt, pred, train = eval_files
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                             "--train", str(train), flag, spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"radtree: error: {flag} expects {form}, got {spec!r}\n"
+
+    def test_malformed_bucket_spec_from_environment_exits_2(self, capsys, monkeypatch,
+                                                           eval_files):
+        gt, pred, _ = eval_files
+        monkeypatch.setenv("RADTREE_OCCN_BUCKETS", "1,2")
+        code, _, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred))
+        assert code == 2
+        assert err == "radtree: error: --occn-buckets expects HEAD,MID,LOW, got '1,2'\n"
+
 
 class TestExportTargets:
     def test_jsonl_and_vocab(self, capsys, tmp_path, sample_table_path):
@@ -268,7 +309,75 @@ class TestExportTargets:
             assert len(json.loads(line)["indices"]) == 33
 
 
+DEEP = 3000  # levels, past the interpreter's default recursion limit
+
+
+@pytest.fixture
+def deep_table(tmp_path):
+    # X is a left spine ⿰×3000 A×3001; Y differs only in its last token,
+    # the root's right child, so their similarity is 2/3.
+    x = ["⿰"] * DEEP + ["A"] * (DEEP + 1)
+    path = tmp_path / "deep.tsv"
+    path.write_text(f"X\t{' '.join(x)}\nY\t{' '.join(x[:-1] + ['B'])}\n", encoding="utf-8")
+    return path
+
+
+class TestDeepTable:
+    def test_export_targets(self, capsys, deep_table):
+        code, out, _ = run(capsys, "export-targets", "--from-table", "--table", str(deep_table),
+                           "--max-len", "7000")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["char"] for r in records] == ["X", "Y"]
+        for record in records:
+            assert len(record["weights"]) == 7000
+            assert record["weights"][0] == pytest.approx(1 + 1 / 3)
+            assert sum(record["weights"]) == pytest.approx(2 * DEEP + 1 + 1 + 1)
+
+    def test_weights(self, capsys, deep_table):
+        code, out, _ = run(capsys, "weights", "--char", "X", "--table", str(deep_table))
+        assert code == 0
+        weights = json.loads(out)
+        assert len(weights) == 2 * DEEP + 1
+        assert weights[-1] == pytest.approx(1 + 1 / 3)
+
+    def test_treesim(self, capsys, deep_table):
+        code, out, _ = run(capsys, "treesim", "X", "Y", "--table", str(deep_table))
+        assert code == 0
+        assert out == "0.666666666667\n"
+
+    def test_eval(self, capsys, tmp_path, deep_table):
+        gt, pred = tmp_path / "gt.tsv", tmp_path / "pred.tsv"
+        gt.write_text("1\tX\n", encoding="utf-8")
+        pred.write_text("1\tY\n", encoding="utf-8")
+        code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                           "--table", str(deep_table))
+        assert code == 0
+        report = json.loads(out)
+        assert report["char_accuracy"] == 0.0
+        assert report["mean_treesim"] == pytest.approx(2 / 3)
+        assert report["rssl_buckets"]["complex"]["count"] == 1
+
+
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ["parse", "好", "--strict"],
+        ["parse", "好", "--rssl-buckets", "4,7"],
+        ["treesim", "好", "妈", "--pretty"],
+        ["treesim", "好", "妈", "--strict"],
+        ["weights", "--char", "好", "--strict"],
+        ["stats", "--input", "train.txt", "--strict"],
+        ["stats", "--input", "train.txt", "--occn-buckets", "100,50,20"],
+        ["export-targets", "--from-table", "--max-len", "8", "--pretty"],
+        ["export-targets", "--from-table", "--max-len", "8", "--strict"],
+        ["export-targets", "--from-table", "--max-len", "8", "--rssl-buckets", "4,7"],
+    ])
+    def test_flag_a_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_env_table(self, capsys, monkeypatch, sample_table_path):
         monkeypatch.setenv("RADTREE_TABLE", str(sample_table_path))
         code, out, _ = run(capsys, "parse", "好")

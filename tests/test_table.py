@@ -2,7 +2,7 @@ import pytest
 
 from radtree.errors import DuplicateEntry, MalformedLine, TableParseError
 from radtree.table import DecompositionTable
-from radtree.tree import ArityTable, RadicalTree, leaf, rssl
+from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, rssl
 
 
 def write(tmp_path, text, name="table.tsv"):
@@ -62,6 +62,17 @@ class TestLoad:
         bad = RadicalTree("⿰", (leaf("A"),))
         with pytest.raises(ValueError):
             DecompositionTable({"x": bad}, arities)
+
+    def test_load_relies_on_parse_sequence_alone(self, tmp_path, monkeypatch):
+        def fail(tree, arities):
+            raise AssertionError("loaded trees are validated again")
+
+        monkeypatch.setattr("radtree.table.validate_tree", fail)
+        table = DecompositionTable.load(write(tmp_path, "好\t⿰ 女 子\n林\t⿰ 木 木\n"))
+        assert table.chars() == ["好", "林"]
+        assert table.lookup("林") == parse_sequence(["⿰", "木", "木"], table.arities)
+        with pytest.raises(AssertionError):
+            DecompositionTable({"好": table.lookup("好")})
 
 
 class TestLookup:

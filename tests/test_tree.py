@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -184,6 +185,55 @@ class TestValidateTree:
     def test_rejects_radical_with_children(self, arities):
         with pytest.raises(ValueError):
             validate_tree(RadicalTree("A", (leaf("B"), leaf("C"))), arities)
+
+
+# A plain frozen dataclass with RadicalTree's name and fields: its generated
+# __eq__, __hash__ and __repr__ are the recursive ones RadicalTree replaced.
+GeneratedTree = dataclasses.make_dataclass(
+    "RadicalTree", [("symbol", str), ("children", tuple, dataclasses.field(default=()))],
+    frozen=True)
+
+
+def generated(tree):
+    return GeneratedTree(tree.symbol, tuple(generated(c) for c in tree.children))
+
+
+class TestIdentity:
+    @given(trees(), trees())
+    def test_matches_generated_methods(self, a, b):
+        assert repr(a) == repr(generated(a))
+        assert (a == b) == (generated(a) == generated(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_malformed_child_counts(self):
+        one = RadicalTree("⿰", (leaf("A"),))
+        two = node("⿰", leaf("A"), leaf("B"))
+        for tree in (one, two, RadicalTree("A", (leaf("B"),))):
+            assert repr(tree) == repr(generated(tree))
+        assert one != two and one != node("⿰", node("A", leaf("B")))
+        assert RadicalTree("⿰", (leaf("A"),)) == one
+
+    def test_not_equal_to_other_types(self):
+        assert leaf("A") != "A"
+        assert leaf("A") != GeneratedTree("A")
+
+    def test_spine_of_ten_thousand_nodes(self, arities):
+        tokens = ["⿰"] * 5000 + ["A"] * 5001
+        tree = parse_sequence(tokens, arities)
+        same = parse_sequence(tokens, arities)
+        other = parse_sequence(tokens[:-1] + ["B"], arities)
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != other
+        assert len({tree, same, other}) == 2
+
+        def spine_repr(depth):
+            a = "RadicalTree(symbol='A', children=())"
+            return "RadicalTree(symbol='⿰', children=(" * depth + a + (", " + a + "))") * depth
+
+        small = parse_sequence(["⿰"] * 3 + ["A"] * 4, arities)
+        assert repr(generated(small)) == spine_repr(3)
+        assert repr(tree) == spine_repr(5000)
 
 
 def test_iter_preorder_order():

@@ -13,7 +13,7 @@ from helpers import (
     subtree_at,
 )
 from radtree.table import DecompositionTable
-from radtree.tree import leaf, parse_sequence
+from radtree.tree import RadicalTree, leaf, parse_sequence
 from radtree.treesim import char_sim, tree_sim, tree_weights
 from test_tree import trees
 
@@ -111,6 +111,26 @@ class TestTreeSim:
     @given(trees(max_depth=2), trees(max_depth=2))
     def test_matches_path_enumeration_oracle(self, a, b):
         assert tree_sim(a, b) == sim_oracle(a, b)
+
+    def test_malformed_child_counts(self):
+        # Hand-built trees that break the arity table: children pair left to
+        # right and the unpaired ones count for nothing.
+        short = RadicalTree("⿰", (leaf("A"),))
+        full = node("⿰", leaf("A"), leaf("B"))
+        assert tree_weights(short) == [Fraction(1, 2), Fraction(1, 2)]
+        assert tree_sim(short, full) == 1
+        assert tree_sim(full, short) == Fraction(2, 3)
+
+    def test_deeper_than_recursion_limit(self, arities):
+        depth = 3000
+        tokens = ["⿰"] * depth + ["A"] * (depth + 1)
+        x = parse_sequence(tokens, arities)
+        y = parse_sequence(tokens[:-1] + ["B"], arities)
+        weights = tree_weights(x)
+        assert sum(weights) == 1
+        assert weights[depth - 1:depth + 2] == [Fraction(1, 3 ** depth)] * 3
+        assert weights[-1] == Fraction(1, 3)
+        assert tree_sim(x, y) == tree_sim(y, x) == Fraction(2, 3)
 
     def test_matches_oracle_on_mutated_pairs(self):
         rng = random.Random(19)
