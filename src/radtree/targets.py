@@ -2,11 +2,11 @@
 
 Targets are the preorder token sequence of a character's tree, turned into
 vocabulary indices, terminated with EOS, and padded with PAD up to a fixed
-length.  Weights come in two modes: "naive" gives every data position
-weight 1; "treesim" gives position i weight 1 + lambda * w_i where w_i is
-the node's tree weight (so per character the data weights sum to
-rssl + lambda).  The EOS slot always carries weight 1 and PAD slots 0, so
-exported records need no extra masking downstream.
+length.  Weights come in two modes: "treesim" gives position i weight
+1 + lambda * w_i where w_i = 1/k_i is the node's tree weight (so per
+character the data weights sum to rssl + lambda); "naive" is lambda = 0.
+The EOS slot always carries weight 1 and PAD slots 0, so exported records
+need no extra masking downstream.
 
 weighted_ce is a reference implementation for validating a trainer's loss:
 the standard negative log-likelihood, non-negative and zero exactly when
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateEntry,
@@ -29,8 +29,8 @@ from .errors import (
     UnknownToken,
 )
 from .table import DecompositionTable
-from .tree import rssl, to_preorder
-from .treesim import tree_weights
+from .tree import RadicalTree, to_preorder
+from .treesim import _matched_denominators
 
 PAD_TOKEN = "<pad>"
 EOS_TOKEN = "<eos>"
@@ -63,9 +63,6 @@ class RadicalVocab:
         except KeyError:
             raise UnknownToken(f"token {token!r} is not in the vocabulary") from None
 
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.index(t) for t in tokens]
 
@@ -78,6 +75,7 @@ class RadicalVocab:
     @classmethod
     def load(cls, path) -> RadicalVocab:
         pairs: dict[int, str] = {}
+        index: dict[str, int] = {}
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
@@ -93,14 +91,17 @@ class RadicalVocab:
                     raise MalformedLine(f"{path}:{lineno}: index {idx_text!r} is not an integer") from None
                 if idx in pairs:
                     raise DuplicateEntry(f"{path}:{lineno}: duplicate index {idx}")
+                if token in index:
+                    raise DuplicateEntry(f"{path}:{lineno}: duplicate token {token!r}")
                 pairs[idx] = token
+                index[token] = idx
         if sorted(pairs) != list(range(len(pairs))) or len(pairs) < 2:
             raise MalformedLine(f"{path}: indices must be contiguous from 0 and include PAD/EOS")
         if pairs[PAD_INDEX] != PAD_TOKEN or pairs[EOS_INDEX] != EOS_TOKEN:
             raise MalformedLine(f"{path}: index 0 must be {PAD_TOKEN} and index 1 {EOS_TOKEN}")
         vocab = cls.__new__(cls)
         vocab._tokens = tuple(pairs[i] for i in range(len(pairs)))
-        vocab._index = {token: i for i, token in enumerate(vocab._tokens)}
+        vocab._index = index
         return vocab
 
     def __contains__(self, token: str) -> bool:
@@ -127,6 +128,21 @@ def build_vocab(table: DecompositionTable, extra_tokens: Iterable[str] = ()) -> 
     return RadicalVocab(table.radical_inventory() | set(extra_tokens))
 
 
+def _weight_ratios(mode: str, lam) -> Callable[[RadicalTree], list[tuple[int, int]]]:
+    """Validate mode and lam = n/d once; return tree -> per-node integer ratios
+    (d*k + n, d*k) = 1 + lam/k for node weight 1/k.  Naive mode is lam = 0."""
+    if mode not in ("naive", "treesim"):
+        raise ValueError(f"mode must be 'naive' or 'treesim', got {mode!r}")
+    try:
+        n, d = Fraction(lam).as_integer_ratio()
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"lambda must be a finite number, got {lam!r}") from None
+    if n < 0:
+        raise ValueError("lambda must be >= 0")
+    n, d = (n, d) if mode == "treesim" else (0, 1)
+    return lambda tree: [(d * k + n, d * k) for k in _matched_denominators(tree, tree)]
+
+
 def radical_weights(char: str, table: DecompositionTable, mode: str,
                     lam=1) -> list[Fraction]:
     """Per-position loss weights for a character's preorder sequence.
@@ -135,18 +151,7 @@ def radical_weights(char: str, table: DecompositionTable, mode: str,
     float inputs like 0.5 keep the identities w_treesim - w_naive =
     lam * tree_weights and sum = rssl + lam).
     """
-    if mode not in ("naive", "treesim"):
-        raise ValueError(f"mode must be 'naive' or 'treesim', got {mode!r}")
-    try:
-        lam = Fraction(lam)
-    except (OverflowError, ValueError):  # inf, nan
-        raise ValueError(f"lambda must be a finite number, got {lam!r}") from None
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    tree = table.lookup(char)
-    if mode == "naive":
-        return [Fraction(1)] * rssl(tree)
-    return [1 + lam * w for w in tree_weights(tree)]
+    return [Fraction(num, den) for num, den in _weight_ratios(mode, lam)(table.lookup(char))]
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,17 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     positions, one EOS (weight 1), then PAD (weight 0).  A character whose
     sequence plus EOS exceeds ``max_len`` raises SequenceTooLong.  With no
     explicit ``vocab``, one is built from the table plus the fallback leaf
-    tokens the charset needs.
+    tokens the charset needs.  Each data weight is num / den, the same
+    correctly rounded quotient as float() of the radical_weights Fraction.
     """
+    ratios = _weight_ratios(mode, lam)
     chars = list(charset)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     records = []
     for char in chars:
-        tokens = to_preorder(table.lookup(char))
+        tree = table.lookup(char)
+        tokens = to_preorder(tree)
         need = len(tokens) + 1
         if need > max_len:
             raise SequenceTooLong(
@@ -192,8 +200,7 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
             )
         pad = max_len - need
         indices = (*vocab.encode(tokens), EOS_INDEX, *([PAD_INDEX] * pad))
-        data_weights = radical_weights(char, table, mode, lam)
-        weights = (*(float(w) for w in data_weights), 1.0, *([0.0] * pad))
+        weights = (*(num / den for num, den in ratios(tree)), 1.0, *([0.0] * pad))
         records.append(TargetRecord(char, tuple(tokens), indices, weights))
     return records
 

@@ -3,10 +3,10 @@
 Weighting rule: a tree carries a total weight of 1.  A leaf absorbs its
 whole budget; an internal node with n children keeps budget/(n+1) for
 itself and hands budget/(n+1) to each child subtree.  Every node weight is
-therefore the unit fraction 1/∏(nᵢ+1), the product taken over the node's
-internal ancestors and, if it is internal, the node itself.  Upper nodes
-weigh more than lower ones, and a node's weight depends only on the arities
-along its root path, not on how deep sibling subtrees are.
+therefore 1/k for the integer k = ∏(nᵢ+1), the product taken over the
+node's internal ancestors and, if it is internal, the node itself.  Upper
+nodes weigh more than lower ones, and a node's weight depends only on the
+arities along its root path, not on how deep sibling subtrees are.
 
 Similarity between two trees is the sum, over nodes that match, of the
 matching nodes' weights.  A node matches when all of its ancestors match,
@@ -15,12 +15,10 @@ are equal; a mismatch prunes the whole subtree below it.  Matched nodes
 have equal symbols, hence equal arities, hence equal weights in either
 tree, so the score is the same no matter which tree supplies the weights.
 
-One walk computes both functions: the weights of a tree are the weights of
-its nodes matched against the tree itself.  The walk keeps an explicit
-stack, so trees of any depth work.
-
-All arithmetic is exact (fractions.Fraction); call float() on results for
-a numeric score.
+One walk, yielding the integer k of each matched node, computes both
+functions and the loss weights in targets.py; a tree's weights are those
+of its nodes matched against itself.  It keeps an explicit stack, so trees
+of any depth work.  Results are exact Fractions; float() them for a score.
 """
 
 from __future__ import annotations
@@ -31,28 +29,28 @@ from typing import Iterator
 from .tree import RadicalTree
 
 
-def _matched_weights(a: RadicalTree, b: RadicalTree) -> Iterator[Fraction]:
-    """Weights of the nodes of ``a`` that match ``b``, in preorder."""
-    stack = [(a, b, Fraction(1))]
+def _matched_denominators(a: RadicalTree, b: RadicalTree) -> Iterator[int]:
+    """The k of the weight 1/k of each node of ``a`` that matches ``b``, in preorder."""
+    stack = [(a, b, 1)]
     while stack:
-        x, y, budget = stack.pop()
+        x, y, k = stack.pop()
         if x.symbol != y.symbol:
             continue
         if x.children:
-            budget /= len(x.children) + 1
-            pairs = [(cx, cy, budget) for cx, cy in zip(x.children, y.children)]
+            k *= len(x.children) + 1
+            pairs = [(cx, cy, k) for cx, cy in zip(x.children, y.children)]
             stack.extend(reversed(pairs))
-        yield budget
+        yield k
 
 
 def tree_weights(tree: RadicalTree) -> list[Fraction]:
     """Per-node weights in preorder order; always sums to exactly 1."""
-    return list(_matched_weights(tree, tree))
+    return [Fraction(1, k) for k in _matched_denominators(tree, tree)]
 
 
 def tree_sim(a: RadicalTree, b: RadicalTree) -> Fraction:
     """Similarity in [0, 1] between two trees built over the same arity table."""
-    return sum(_matched_weights(a, b), Fraction(0))
+    return sum((Fraction(1, k) for k in _matched_denominators(a, b)), Fraction(0))
 
 
 def char_sim(c1: str, c2: str, table) -> Fraction:

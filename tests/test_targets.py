@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_tree
 from radtree.errors import (
+    DuplicateEntry,
     InvalidDistribution,
     SequenceTooLong,
     ShapeMismatch,
@@ -78,6 +79,12 @@ class TestVocab:
     def test_reserved_collision_rejected(self):
         with pytest.raises(ValueError):
             RadicalVocab([PAD_TOKEN])
+
+    def test_load_rejects_duplicate_token(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"{PAD_TOKEN}\t0\n{EOS_TOKEN}\t1\n{PAD_TOKEN}\t2\n", encoding="utf-8")
+        with pytest.raises(DuplicateEntry, match=r"vocab\.tsv:3: duplicate token '<pad>'"):
+            RadicalVocab.load(path)
 
 
 class TestRadicalWeights:
@@ -169,6 +176,31 @@ class TestExportTargets:
             payload = json.loads(line)
             assert payload == record.to_json_dict()
             assert tuple(payload["weights"]) == record.weights
+
+    def test_mode_and_lambda_checked_before_any_character(self, sample_table):
+        with pytest.raises(ValueError, match="mode"):
+            export_targets([], sample_table, 4, "bogus")
+        with pytest.raises(ValueError, match="lambda"):
+            export_targets([], sample_table, 4, "treesim", -1)
+        # 森 is too long for max_len 2, but the bad lambda is reported first.
+        with pytest.raises(ValueError, match="lambda"):
+            export_targets(["森"], sample_table, 2, "treesim", -1)
+
+    def test_weights_are_floats_of_radical_weights(self, arities):
+        rng = random.Random(61)
+        trees = [random_tree(rng, max_depth=5) for _ in range(40)]
+        chars = [chr(0x4E00 + i) for i in range(len(trees))]
+        table = DecompositionTable(dict(zip(chars, trees)), arities)
+        max_len = max(rssl(t) for t in trees) + 1
+        lams = (0, 0.1, 0.5, 1, 3, 1e-300, 1e300, 2 ** 70, Fraction(1, 3))
+        for lam in lams:
+            for mode in ("naive", "treesim"):
+                records = export_targets(chars, table, max_len, mode, lam)
+                for record, tree in zip(records, trees):
+                    expected = [float(w) for w in radical_weights(record.char, table, mode, lam)]
+                    assert list(record.weights[:rssl(tree)]) == expected
+        naive = export_targets(chars, table, max_len, "naive", 0.5)
+        assert export_targets(chars, table, max_len, "treesim", 0) == naive
 
     def test_jsonl_bytes_deterministic(self, tmp_path, sample_table):
         records = export_targets(list("好妈@"), sample_table, 6, "treesim")

@@ -13,7 +13,7 @@ from helpers import (
     subtree_at,
 )
 from radtree.table import DecompositionTable
-from radtree.tree import RadicalTree, leaf, parse_sequence
+from radtree.tree import RadicalTree, leaf, parse_sequence, rssl
 from radtree.treesim import char_sim, tree_sim, tree_weights
 from test_tree import trees
 
@@ -138,6 +138,40 @@ class TestTreeSim:
             a = random_tree(rng, max_depth=3)
             b = mutate(rng, a)
             assert tree_sim(a, b) == sim_oracle(a, b)
+
+
+class TestLargeTrees:
+    """Random trees of up to about 10^4 nodes, against the oracle."""
+
+    @staticmethod
+    def large_trees(rng, count=6):
+        out = []
+        while len(out) < count:
+            tree = random_tree(rng, max_depth=12, structure_prob=0.88)
+            if rssl(tree) >= 1000:
+                out.append(tree)
+        return out
+
+    def test_weights_are_unit_fractions_summing_to_one(self):
+        trees = self.large_trees(random.Random(53))
+        assert max(rssl(t) for t in trees) >= 5000
+        for tree in trees:
+            weights = tree_weights(tree)
+            assert len(weights) == rssl(tree)
+            assert all(w.numerator == 1 for w in weights)
+            assert sum(weights) == 1
+
+    def test_sim_matches_oracle(self):
+        rng = random.Random(59)
+        trees = self.large_trees(rng)
+        assert max(rssl(t) for t in trees) >= 5000
+        for a, other in zip(trees, trees[1:]):
+            b = a
+            for _ in range(rng.randint(1, 20)):
+                b = mutate(rng, b)
+            assert tree_sim(a, b) == sim_oracle(a, b) < 1
+            assert tree_sim(a, other) == sim_oracle(a, other)
+            assert tree_sim(a, a) == sim_oracle(a, a) == 1
 
 
 class TestCharSim:
