@@ -20,7 +20,7 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import build_vocab, export_targets, radical_weights, write_targets_jsonl
+from .targets import build_vocab, export_targets, jsonl_lines, radical_weights, write_targets_jsonl
 from .tree import ArityTable, parse_sequence, rssl, to_preorder
 from .treesim import char_sim
 
@@ -246,8 +246,7 @@ def cmd_export_targets(args) -> int:
     if args.output:
         write_targets_jsonl(records, args.output)
     else:
-        for record in records:
-            sys.stdout.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
+        sys.stdout.writelines(jsonl_lines(records))
     if args.vocab_out:
         vocab.save(args.vocab_out)
     return 0

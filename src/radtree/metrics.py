@@ -19,7 +19,6 @@ from typing import Mapping, NamedTuple
 
 from .errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
 from .table import DecompositionTable
-from .tree import rssl
 from .treesim import char_sim
 
 MATCH = "match"
@@ -284,7 +283,7 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
     for char, count in Counter("".join(gt.values())).items():
         tally = (count, matched_by_char[char], deleted_by_char[char], sub_sim.get(char, 0))
         total.add(*tally)
-        rssl_acc[bucket_rssl(rssl(table.lookup(char)), buckets)].add(*tally)
+        rssl_acc[bucket_rssl(len(table.tokens(char)), buckets)].add(*tally)
         if occn_acc is not None:
             occn_acc[bucket_occn(occn.get(char, 0), buckets)].add(*tally)
 

@@ -8,7 +8,6 @@ from typing import Iterable
 from .errors import EmptyCharset, MalformedLine
 from .metrics import DEFAULT_BUCKETS, RSSL_BUCKETS, BucketSpec, bucket_rssl
 from .table import DecompositionTable
-from .tree import rssl
 
 
 def count_occurrences(lines: Iterable[str]) -> Counter:
@@ -31,7 +30,7 @@ def rssl_distribution(chars: Iterable[str], table: DecompositionTable,
         raise EmptyCharset("no characters to bucket")
     counts = {name: 0 for name in RSSL_BUCKETS}
     for char in charset:
-        counts[bucket_rssl(rssl(table.lookup(char)), buckets)] += 1
+        counts[bucket_rssl(len(table.tokens(char)), buckets)] += 1
     total = len(charset)
     return {name: {"count": n, "fraction": n / total} for name, n in counts.items()}
 

@@ -10,33 +10,41 @@ representable.
 from __future__ import annotations
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
-from .tree import ArityTable, RadicalTree, iter_preorder, leaf, parse_sequence, to_preorder, validate_tree
+from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, to_preorder, validate_tree
 
 
 class DecompositionTable:
     """Maps characters to radical trees.
 
+    Each entry is kept as its preorder token tuple, checked against the
+    arities when the table is made; a character's tree is built from its
+    tokens on its first lookup and then kept.  Code that needs only the
+    tokens (save, the inventory, rssl, export rows) reads ``tokens()`` and
+    builds no tree.
+
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined
-    over arbitrary text.  Immutable after construction; concurrent lookups
-    are safe.
+    over arbitrary text.  The entries never change after construction;
+    concurrent lookups are safe, since a race between two first lookups
+    can only build equal trees.
     """
 
     def __init__(self, entries: dict[str, RadicalTree] | None = None,
                  arities: ArityTable | None = None):
         self.arities = arities if arities is not None else ArityTable.default()
-        self._entries = dict(entries) if entries else {}
-        for char, tree in self._entries.items():
+        self._trees = dict(entries) if entries else {}
+        for char, tree in self._trees.items():
             try:
                 validate_tree(tree, self.arities)
             except ValueError as exc:
                 raise ValueError(f"entry {char!r}: {exc}") from None
+        self._entries = {char: tuple(to_preorder(tree)) for char, tree in self._trees.items()}
 
     @classmethod
     def load(cls, path, arities: ArityTable | None = None) -> DecompositionTable:
-        """Parse a decomposition TSV file into a table."""
+        """Read a decomposition TSV file into a table, checking every entry."""
         arities = arities if arities is not None else ArityTable.default()
-        entries: dict[str, RadicalTree] = {}
+        entries: dict[str, tuple[str, ...]] = {}
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
@@ -50,28 +58,38 @@ class DecompositionTable:
                     raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
                 if char in entries:
                     raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
-                tokens = seq.split()
+                tokens = tuple(seq.split())
                 if not tokens:
                     raise MalformedLine(f"{path}:{lineno}: empty token sequence")
                 try:
-                    entries[char] = parse_sequence(tokens, arities)
+                    check_sequence(tokens, arities)
                 except (Underflow, TrailingTokens) as exc:
                     raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-        # parse_sequence already enforced the arities that __init__ checks.
+                entries[char] = tokens
+        # check_sequence already enforced the arities that __init__ checks.
         table = cls.__new__(cls)
-        table.arities, table._entries = arities, entries
+        table.arities, table._entries, table._trees = arities, entries, {}
         return table
 
     def save(self, path) -> None:
         """Write the table back out in the same TSV format, entry order preserved."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for char, tree in self._entries.items():
-                fh.write(f"{char}\t{' '.join(to_preorder(tree))}\n")
+            for char, tokens in self._entries.items():
+                fh.write(f"{char}\t{' '.join(tokens)}\n")
 
     def lookup(self, char: str) -> RadicalTree:
         """Stored tree if present, otherwise a single leaf of the character."""
-        tree = self._entries.get(char)
-        return tree if tree is not None else leaf(char)
+        tree = self._trees.get(char)
+        if tree is None:
+            tokens = self._entries.get(char)
+            if tokens is None:
+                return leaf(char)
+            tree = self._trees[char] = build_checked(tokens, self.arities)
+        return tree
+
+    def tokens(self, char: str) -> tuple[str, ...]:
+        """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""
+        return self._entries.get(char) or (char,)
 
     def chars(self) -> list[str]:
         """Tabulated characters in entry (file) order."""
@@ -79,11 +97,7 @@ class DecompositionTable:
 
     def radical_inventory(self) -> set[str]:
         """All distinct radical and structure tokens used by stored trees."""
-        tokens: set[str] = set()
-        for tree in self._entries.values():
-            for node in iter_preorder(tree):
-                tokens.add(node.symbol)
-        return tokens
+        return set().union(*self._entries.values())
 
     def __contains__(self, char: str) -> bool:
         return char in self._entries

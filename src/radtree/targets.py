@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEntry,
@@ -29,7 +29,7 @@ from .errors import (
     UnknownToken,
 )
 from .table import DecompositionTable
-from .tree import RadicalTree, to_preorder
+from .tree import RadicalTree
 from .treesim import _matched_denominators
 
 PAD_TOKEN = "<pad>"
@@ -183,15 +183,20 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     explicit ``vocab``, one is built from the table plus the fallback leaf
     tokens the charset needs.  Each data weight is num / den, the same
     correctly rounded quotient as float() of the radical_weights Fraction.
+
+    A node's weight depends only on the child counts along its root path,
+    so the weight row depends only on the tree's shape (its child counts in
+    preorder): it is computed from the first character of each shape, and
+    records of one shape share that row.
     """
     ratios = _weight_ratios(mode, lam)
     chars = list(charset)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     records = []
     for char in chars:
-        tree = table.lookup(char)
-        tokens = to_preorder(tree)
+        tokens = table.tokens(char)
         need = len(tokens) + 1
         if need > max_len:
             raise SequenceTooLong(
@@ -200,17 +205,35 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
             )
         pad = max_len - need
         indices = (*vocab.encode(tokens), EOS_INDEX, *([PAD_INDEX] * pad))
-        weights = (*(num / den for num, den in ratios(tree)), 1.0, *([0.0] * pad))
-        records.append(TargetRecord(char, tuple(tokens), indices, weights))
+        shape = table.arities.child_counts(tokens)
+        weights = rows.get(shape)
+        if weights is None:
+            weights = rows[shape] = (
+                *(num / den for num, den in ratios(table.lookup(char))), 1.0, *([0.0] * pad))
+        records.append(TargetRecord(char, tokens, indices, weights))
     return records
 
 
+def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
+    """Each record as ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
+    plus a newline; floats use shortest round-trip decimals, so identical
+    inputs always produce identical bytes.  A weight row object shared by
+    several records is encoded once (keyed by identity, not equality, since
+    0.0 == -0.0 and 1 == 1.0 encode differently)."""
+    dumps = json.JSONEncoder(ensure_ascii=False).encode
+    encoded: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its JSON)
+    for record in records:
+        row = record.weights
+        if id(row) not in encoded:
+            encoded[id(row)] = (row, dumps(row))
+        yield (f'{{"char": {dumps(record.char)}, "tokens": {dumps(record.tokens)}, '
+               f'"indices": {dumps(record.indices)}, "weights": {encoded[id(row)][1]}}}\n')
+
+
 def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:
-    """One JSON object per line; floats use shortest round-trip decimals,
-    so identical inputs always produce identical bytes."""
+    """Write jsonl_lines(records) to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
+        fh.writelines(jsonl_lines(records))
 
 
 def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:

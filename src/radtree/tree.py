@@ -90,6 +90,11 @@ class ArityTable:
         """Child count of a structure token; KeyError for radicals."""
         return self._entries[token]
 
+    def child_counts(self, tokens: Sequence[str]) -> tuple[int, ...]:
+        """Each token's arity, 0 for a radical: the shape of a preorder sequence."""
+        get = self._entries.get
+        return tuple([get(token, 0) for token in tokens])
+
     def items(self):
         return self._entries.items()
 
@@ -161,42 +166,55 @@ def leaf(symbol: str) -> RadicalTree:
     return RadicalTree(symbol)
 
 
+def check_sequence(tokens: Sequence[str], arities: ArityTable) -> None:
+    """Check that ``tokens`` is the preorder sequence of exactly one tree.
+
+    One pass counts the subtrees still open: a token with n children (0 for
+    a radical) closes one and opens n.  Raises MalformedLine on an empty
+    token, Underflow if the sequence ends while a subtree is still open,
+    TrailingTokens if tokens remain after the root subtree closed.
+    """
+    open_subtrees = 1
+    for pos, n in enumerate(arities.child_counts(tokens)):
+        if not tokens[pos]:
+            raise MalformedLine(f"empty token at position {pos}")
+        open_subtrees += n - 1
+        if not open_subtrees:
+            if pos + 1 < len(tokens):
+                raise TrailingTokens(
+                    f"{len(tokens) - pos - 1} token(s) left over at position {pos + 1} "
+                    "after the tree closed"
+                )
+            return
+    raise Underflow(
+        f"sequence ended at token {len(tokens)} while a subtree was still incomplete"
+    )
+
+
+def build_checked(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
+    """The tree of a sequence that check_sequence accepted.
+
+    Reads right to left, keeping the finished subtrees on a stack: a
+    structure with n children takes the top n, the topmost as its first.
+    """
+    stack: list[RadicalTree] = []
+    for token, n in zip(reversed(tokens), reversed(arities.child_counts(tokens))):
+        if n:
+            children = tuple(reversed(stack[-n:]))
+            del stack[-n:]
+            stack.append(RadicalTree(token, children))
+        else:
+            stack.append(RadicalTree(token))
+    return stack[0]
+
+
 def parse_sequence(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
     """Rebuild the unique tree whose preorder traversal equals ``tokens``.
 
-    Raises Underflow if the sequence ends while a structure still expects
-    children, TrailingTokens if tokens remain after the root subtree closed.
+    Raises the errors of check_sequence.
     """
-    # Open structure nodes, innermost last: (symbol, arity, children so far).
-    stack: list[tuple[str, int, list[RadicalTree]]] = []
-    pos = 0
-    while True:
-        if pos >= len(tokens):
-            raise Underflow(
-                f"sequence ended at token {pos} while a subtree was still incomplete"
-            )
-        token = tokens[pos]
-        pos += 1
-        if not token:
-            raise MalformedLine(f"empty token at position {pos - 1}")
-        if arities.is_structure(token):
-            stack.append((token, arities.arity(token), []))
-            continue
-        node = RadicalTree(token)
-        while stack:
-            symbol, arity, children = stack[-1]
-            children.append(node)
-            if len(children) < arity:
-                break
-            stack.pop()
-            node = RadicalTree(symbol, tuple(children))
-        if not stack:
-            break
-    if pos != len(tokens):
-        raise TrailingTokens(
-            f"{len(tokens) - pos} token(s) left over at position {pos} after the tree closed"
-        )
-    return node
+    check_sequence(tokens, arities)
+    return build_checked(tokens, arities)
 
 
 def iter_preorder(tree: RadicalTree) -> Iterator[RadicalTree]:

@@ -1,6 +1,7 @@
 """Shared test utilities: random tree generation and independent oracles.
 
 The oracles here deliberately take different routes than the library:
+a preorder sequence is parsed left to right with a stack of open nodes;
 similarity is scored by enumerating child-index paths and prefix-checking
 ancestors, with node weights derived from the closed-form product of
 1/(arity+1) along the root path; edit distance and alignment are the
@@ -13,8 +14,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from radtree.errors import MalformedLine, TrailingTokens, Underflow
 from radtree.metrics import bucket_occn, bucket_rssl
-from radtree.tree import ArityTable, RadicalTree, rssl
+from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
 
 DEFAULT_ARITIES = ArityTable.default()
 STRUCTURES = sorted(token for token, _ in DEFAULT_ARITIES.items())
@@ -41,6 +43,92 @@ def random_tree(rng: random.Random, max_depth: int = 6,
         symbol,
         tuple(random_tree(rng, max_depth - 1, structure_prob, leaf_pool) for _ in range(n)),
     )
+
+
+def parse_oracle(tokens, arities: ArityTable) -> RadicalTree:
+    """Left-to-right reference parser: a stack of open structure nodes, each
+    closed when its last child arrives.  Same errors and messages as
+    radtree.tree.parse_sequence."""
+    # Open structure nodes, innermost last: (symbol, arity, children so far).
+    stack: list[tuple[str, int, list[RadicalTree]]] = []
+    pos = 0
+    while True:
+        if pos >= len(tokens):
+            raise Underflow(
+                f"sequence ended at token {pos} while a subtree was still incomplete"
+            )
+        token = tokens[pos]
+        pos += 1
+        if not token:
+            raise MalformedLine(f"empty token at position {pos - 1}")
+        if arities.is_structure(token):
+            stack.append((token, arities.arity(token), []))
+            continue
+        node = RadicalTree(token)
+        while stack:
+            symbol, arity, children = stack[-1]
+            children.append(node)
+            if len(children) < arity:
+                break
+            stack.pop()
+            node = RadicalTree(symbol, tuple(children))
+        if not stack:
+            break
+    if pos != len(tokens):
+        raise TrailingTokens(
+            f"{len(tokens) - pos} token(s) left over at position {pos} after the tree closed"
+        )
+    return node
+
+
+# Arity tables for the parser oracle: the default one, one with arity 3 as
+# the only odd arity, and one whose huge arity only ever underflows.
+ORACLE_ARITIES = (
+    DEFAULT_ARITIES,
+    ArityTable({"T": 3, "P": 2}),
+    ArityTable({"H": 10**18, "P": 2}),
+)
+
+
+def random_sequence(rng: random.Random, arities: ArityTable, max_depth: int = 5,
+                    structure_prob: float = 0.6) -> list[str]:
+    """Preorder tokens of a random valid tree over ``arities``; structures
+    with more than 8 children are left out."""
+    structures = sorted(token for token, n in arities.items() if n <= 8)
+    out: list[str] = []
+    todo = [max_depth]  # depth budget of each subtree still to emit
+    while todo:
+        depth = todo.pop()
+        if depth and rng.random() < structure_prob:
+            symbol = rng.choice(structures)
+            out.append(symbol)
+            todo.extend([depth - 1] * arities.arity(symbol))
+        else:
+            out.append(rng.choice(LEAF_POOL))
+    return out
+
+
+def parse_cases(rng: random.Random, n: int):
+    """``n`` seeded (arities, tokens) pairs for the parser oracle: whole
+    trees (random_tree under the default arities), truncated ones, ones with
+    extra tokens, ones with an empty token, and random token soups."""
+    for _ in range(n):
+        arities = rng.choice(ORACLE_ARITIES)
+        if arities is DEFAULT_ARITIES:
+            tokens = to_preorder(random_tree(rng, max_depth=4))
+        else:
+            tokens = random_sequence(rng, arities)
+        pool = sorted(token for token, _ in arities.items()) + LEAF_POOL
+        kind = rng.randrange(5)
+        if kind == 1:
+            tokens = tokens[:rng.randrange(len(tokens))]
+        elif kind == 2:
+            tokens += rng.choices(pool, k=rng.randint(1, 3))
+        elif kind == 3:
+            tokens.insert(rng.randint(0, len(tokens)), "")
+        elif kind == 4:
+            tokens = rng.choices(pool, k=rng.randint(0, 8))
+        yield arities, tokens
 
 
 def all_paths(tree: RadicalTree) -> list[tuple[int, ...]]:

@@ -1,9 +1,12 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from radtree.cli import _json_text, main
+
+SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
 
 def run(capsys, *argv):
@@ -293,6 +296,17 @@ class TestExportTargets:
                            "--table", str(sample_table_path), "--max-len", "8")
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize("mode", ["naive", "treesim"])
+    def test_stdout_equals_output_file(self, capsys, tmp_path, mode):
+        out_path = tmp_path / "targets.jsonl"
+        argv = ["export-targets", "--from-table", "--table", str(SAMPLE_TABLE),
+                "--max-len", "9", "--mode", mode, "--lambda", "0.5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "-o", str(out_path)) == (0, "", "")
+        assert out.encode("utf-8") == out_path.read_bytes()
+        assert len(out.splitlines()) == 10
 
     def test_sequence_too_long_exits_2(self, capsys, sample_table_path):
         code, _, err = run(capsys, "export-targets", "--from-table",

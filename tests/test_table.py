@@ -1,8 +1,23 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 
-from radtree.errors import DuplicateEntry, MalformedLine, TableParseError
+from helpers import parse_cases, parse_oracle, random_tree
+from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TableParseError
 from radtree.table import DecompositionTable
-from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, rssl
+from radtree.tree import (
+    ArityTable,
+    RadicalTree,
+    iter_preorder,
+    leaf,
+    parse_sequence,
+    rssl,
+    to_preorder,
+)
+
+SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
 
 def write(tmp_path, text, name="table.tsv"):
@@ -74,6 +89,28 @@ class TestLoad:
         with pytest.raises(AssertionError):
             DecompositionTable({"好": table.lookup("好")})
 
+    def test_accepts_and_rejects_like_the_parser_oracle(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        rng = random.Random(18)
+        for arities, tokens in parse_cases(rng, 400):
+            path.write_text(f"X\t{' '.join(tokens)}\n", encoding="utf-8")
+            split = " ".join(tokens).split()
+            if not split:
+                with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:1: empty token sequence$"):
+                    DecompositionTable.load(path, arities)
+                continue
+            try:
+                want = parse_oracle(split, arities)
+            except RadtreeError as exc:
+                with pytest.raises(TableParseError) as caught:
+                    DecompositionTable.load(path, arities)
+                assert str(caught.value) == f"{path}:1: {exc}"
+                assert type(caught.value.__cause__) is type(exc)
+                continue
+            table = DecompositionTable.load(path, arities)
+            assert table.tokens("X") == tuple(split)
+            assert table.lookup("X") == want
+
 
 class TestLookup:
     def test_tabulated(self, sample_table):
@@ -92,6 +129,75 @@ class TestLookup:
         assert "好" in sample_table
         assert "@" not in sample_table
         assert len(sample_table) == 6
+
+
+class TestTokenEntries:
+    @pytest.fixture
+    def tables(self, tmp_path, sample_table):
+        rng = random.Random(5)
+        path = tmp_path / "random.tsv"
+        path.write_text("".join(
+            f"{chr(0x4E00 + n)}\t{' '.join(to_preorder(random_tree(rng)))}\n"
+            for n in range(60)), encoding="utf-8")
+        return [DecompositionTable.load(SAMPLE_TABLE), DecompositionTable.load(path), sample_table]
+
+    def test_lookup_builds_the_parsed_tree_once(self, tables):
+        for table in tables:
+            for char in table.chars():
+                tree = table.lookup(char)
+                assert tree == parse_sequence(table.tokens(char), table.arities)
+                assert table.lookup(char) is tree
+
+    def test_token_count_is_rssl(self, tables):
+        for table in tables:
+            for char in table.chars():
+                assert len(table.tokens(char)) == rssl(table.lookup(char))
+
+    def test_untabulated_tokens_are_the_character(self, tables):
+        for table in tables:
+            assert table.tokens("@") == ("@",)
+            assert table.tokens("⿰") == ("⿰",)
+
+    def test_save_then_load_round_trips(self, tmp_path, tables):
+        for n, table in enumerate(tables):
+            path = tmp_path / f"saved{n}.tsv"
+            table.save(path)
+            reloaded = DecompositionTable.load(path, table.arities)
+            assert reloaded.chars() == table.chars()
+            for char in table.chars():
+                assert reloaded.tokens(char) == table.tokens(char)
+                assert reloaded.lookup(char) == table.lookup(char)
+
+    def test_inventory_is_every_node_symbol(self, tables):
+        for table in tables:
+            walked = {node.symbol for char in table.chars()
+                      for node in iter_preorder(table.lookup(char))}
+            assert table.radical_inventory() == walked
+
+    def test_constructor_keeps_the_callers_trees(self, arities):
+        trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": leaf("A")}
+        table = DecompositionTable(trees, arities)
+        for char, tree in trees.items():
+            assert table.lookup(char) is tree
+        assert table.tokens("好") == ("⿰", "女", "子")
+
+    def test_load_builds_no_tree(self, tmp_path, monkeypatch):
+        built = []
+        init = RadicalTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RadicalTree, "__init__", counting_init)
+        table = DecompositionTable.load(SAMPLE_TABLE)
+        assert len(table) == 10
+        table.save(tmp_path / "saved.tsv")
+        table.radical_inventory()
+        assert [len(table.tokens(c)) for c in table.chars()] == [3, 3, 3, 5, 5, 3, 4, 3, 3, 3]
+        assert built == []
+        table.lookup("森")
+        assert len(built) == 5
 
 
 class TestInventory:

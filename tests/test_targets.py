@@ -14,6 +14,7 @@ from radtree.errors import (
     ShapeMismatch,
     UnknownToken,
 )
+from radtree import table as table_module
 from radtree.table import DecompositionTable
 from radtree.targets import (
     EOS_INDEX,
@@ -208,6 +209,75 @@ class TestExportTargets:
         write_targets_jsonl(records, p1)
         write_targets_jsonl(export_targets(list("好妈@"), sample_table, 6, "treesim"), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def dumps_lines(records) -> bytes:
+    return "".join(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n"
+                   for r in records).encode("utf-8")
+
+
+class TestShapeRows:
+    """export_targets computes one weight row per tree shape and shares it."""
+
+    ROWS = {
+        "甲": "⿰ A B",
+        "乙": "⿰ C D",        # the shape of 甲, other symbols
+        "丙": "⿰ A ⿱ B C",    # five tokens ...
+        "丁": "⿱ ⿰ A B C",    # ... in another shape
+        "戊": '⿱ " \\',       # radicals that JSON escapes
+        "己": "口",
+    }
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "shapes.tsv"
+        path.write_text("".join(f"{c}\t{seq}\n" for c, seq in self.ROWS.items()),
+                        encoding="utf-8")
+        return DecompositionTable.load(path)
+
+    def test_rows_are_floats_of_radical_weights(self, table):
+        chars = [*self.ROWS, "@", "⿰"]  # two untabulated, one a structure token
+        for mode in ("naive", "treesim"):
+            for lam in (1, 0.5, Fraction(1, 3)):
+                for max_len in (6, 7, 12, 40):
+                    for record in export_targets(chars, table, max_len, mode, lam):
+                        data = [float(w) for w in radical_weights(record.char, table, mode, lam)]
+                        pad = max_len - len(data) - 1
+                        assert record.weights == (*data, 1.0, *[0.0] * pad)
+                        assert record.tokens == table.tokens(record.char)
+
+    def test_same_shape_shares_one_row(self, table):
+        by_char = {r.char: r for r in export_targets([*self.ROWS, "@"], table, 8, "treesim")}
+        assert by_char["甲"].weights is by_char["乙"].weights
+        assert by_char["己"].weights is by_char["@"].weights
+        assert by_char["丙"].weights != by_char["丁"].weights
+        assert by_char["丙"].weights[:5] == (4 / 3, 4 / 3, 10 / 9, 10 / 9, 10 / 9)
+
+    def test_builds_one_tree_per_shape(self, table, monkeypatch):
+        built = []
+        build = table_module.build_checked
+
+        def counting_build(tokens, arities):
+            built.append(tuple(tokens))
+            return build(tokens, arities)
+
+        monkeypatch.setattr(table_module, "build_checked", counting_build)
+        export_targets(list(self.ROWS) * 3, table, 8, "treesim")
+        assert len(built) == 4  # 甲, 乙 and 戊 share a shape
+
+    def test_jsonl_bytes_equal_json_dumps(self, tmp_path, table):
+        rng = random.Random(200)
+        pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
+        trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
+        chars = [chr(0x4E00 + i) for i in range(len(trees))]
+        big = DecompositionTable(dict(zip(chars, trees)))
+        max_len = max(rssl(t) for t in trees) + 3
+        path = tmp_path / "out.jsonl"
+        for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
+            for mode in ("naive", "treesim"):
+                records = export_targets(charset, tab, max_len, mode)
+                write_targets_jsonl(records, path)
+                assert path.read_bytes() == dumps_lines(records)
 
 
 class TestWeightedCe:

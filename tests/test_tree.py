@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import DEFAULT_ARITIES, STRUCTURES, node, random_tree
-from radtree.errors import DuplicateEntry, MalformedLine, TrailingTokens, Underflow
+from helpers import DEFAULT_ARITIES, STRUCTURES, node, parse_cases, parse_oracle, random_tree
+from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TrailingTokens, Underflow
 from radtree.tree import (
     ArityTable,
     RadicalTree,
@@ -117,6 +117,29 @@ class TestParseSequence:
             for cut in range(len(tokens)):
                 with pytest.raises(Underflow):
                     parse_sequence(tokens[:cut], arities)
+
+
+def outcome(parse, tokens, arities):
+    """The parsed tree, or the (type, message) of the error it raised."""
+    try:
+        return parse(tokens, arities)
+    except RadtreeError as exc:
+        return type(exc), str(exc)
+
+
+class TestParseOracle:
+    def test_matches_open_node_parser(self):
+        rng = random.Random(11)
+        kinds = set()
+        for arities, tokens in parse_cases(rng, 1500):
+            want = outcome(parse_oracle, tokens, arities)
+            assert outcome(parse_sequence, tokens, arities) == want, tokens
+            kinds.add(want[0] if isinstance(want, tuple) else RadicalTree)
+        assert kinds == {RadicalTree, Underflow, TrailingTokens, MalformedLine}
+
+    def test_child_counts(self, arities):
+        assert arities.child_counts(["⿲", "A", "⿰", "B", "C", "D"]) == (3, 0, 2, 0, 0, 0)
+        assert arities.child_counts([]) == ()
 
 
 class TestSerialization:
