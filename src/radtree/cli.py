@@ -20,7 +20,8 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import build_vocab, export_targets, jsonl_lines, radical_weights, write_targets_jsonl
+from .targets import build_vocab, export_targets, radical_weights, write_targets_jsonl
+from .textio import numbered_lines, write_lines
 from .tree import ArityTable, parse_sequence, rssl, to_preorder
 from .treesim import char_sim
 
@@ -65,14 +66,6 @@ def _bucket_spec(args) -> BucketSpec:
     return BucketSpec(**kwargs)
 
 
-def _write_text(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(value, indent: int | None) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=indent)`` for dicts
     with str keys, lists, tuples and scalars, without recursion: a parsed
@@ -111,7 +104,7 @@ def _json_text(value, indent: int | None) -> str:
 
 
 def _emit_json(args, payload) -> None:
-    _write_text(args, _json_text(payload, 2 if args.pretty else None) + "\n")
+    write_lines(args.output, [_json_text(payload, 2 if args.pretty else None) + "\n"])
 
 
 def _tree_json(tree, arities: ArityTable) -> dict:
@@ -155,7 +148,7 @@ def cmd_treesim(args) -> int:
         _single_char(args.char2, "CHAR2"),
         table,
     )
-    _write_text(args, f"{float(score):.12f}\n")
+    write_lines(args.output, [f"{float(score):.12f}\n"])
     return 0
 
 
@@ -224,13 +217,10 @@ def cmd_eval(args) -> int:
 
 def _read_charset(path) -> list[str]:
     chars = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if len(line) != 1:
-                raise MalformedLine(f"{path}:{lineno}: expected one character per line, got {line!r}")
+    for lineno, line in numbered_lines(path):
+        if len(line) > 1:
+            raise MalformedLine(f"{path}:{lineno}: expected one character per line, got {line!r}")
+        if line:
             chars.append(line)
     return chars
 
@@ -243,13 +233,15 @@ def cmd_export_targets(args) -> int:
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     records = export_targets(chars, table, max_len=args.max_len,
                              mode=args.mode, lam=args.lam, vocab=vocab)
-    if args.output:
-        write_targets_jsonl(records, args.output)
-    else:
-        sys.stdout.writelines(jsonl_lines(records))
+    write_targets_jsonl(records, args.output)
     if args.vocab_out:
         vocab.save(args.vocab_out)
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, like every other failure
+        self.exit(2, f"radtree: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SIMPLE_MAX,COMPLEX_MIN",
                               help="complexity bucket bounds, e.g. 4,7")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radtree",
         description="Radical-tree decomposition, similarity, loss-weight, and evaluation toolkit.",
     )

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
+from .errors import DuplicateEntry, EmptyCorpus, MissingId
 from .table import DecompositionTable
+from .textio import numbered_lines, two_fields
 from .treesim import char_sim
 
 MATCH = "match"
@@ -315,16 +316,11 @@ def read_corpus_tsv(path) -> dict[str, str]:
     Blank lines are skipped; duplicate ids are an error.
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t", 1)
-            if len(fields) != 2:
-                raise MalformedLine(f"{path}:{lineno}: expected <id><TAB><text>")
-            sid, text = fields
-            if sid in out:
-                raise DuplicateEntry(f"{path}:{lineno}: duplicate sample id {sid!r}")
-            out[sid] = text
+    for lineno, line in numbered_lines(path):
+        if not line:
+            continue
+        sid, text = two_fields(path, lineno, line, "<id><TAB><text>", 1)
+        if sid in out:
+            raise DuplicateEntry(f"{path}:{lineno}: duplicate sample id {sid!r}")
+        out[sid] = text
     return out

@@ -5,9 +5,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .errors import EmptyCharset, MalformedLine
+from .errors import EmptyCharset
 from .metrics import DEFAULT_BUCKETS, RSSL_BUCKETS, BucketSpec, bucket_rssl
 from .table import DecompositionTable
+from .textio import numbered_lines, two_fields
 
 
 def count_occurrences(lines: Iterable[str]) -> Counter:
@@ -44,17 +45,7 @@ def read_labels(path, fmt: str = "plain") -> list[str]:
     """
     if fmt not in ("plain", "tsv"):
         raise ValueError(f"format must be 'plain' or 'tsv', got {fmt!r}")
-    labels: list[str] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if fmt == "plain":
-                labels.append(line)
-                continue
-            if not line:
-                continue
-            fields = line.split("\t", 1)
-            if len(fields) != 2:
-                raise MalformedLine(f"{path}:{lineno}: expected <id><TAB><text>")
-            labels.append(fields[1])
-    return labels
+    if fmt == "plain":
+        return [line for _, line in numbered_lines(path)]
+    return [two_fields(path, lineno, line, "<id><TAB><text>", 1)[1]
+            for lineno, line in numbered_lines(path) if line]

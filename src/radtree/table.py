@@ -10,6 +10,7 @@ representable.
 from __future__ import annotations
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
+from .textio import numbered_lines, two_fields, write_lines
 from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, to_preorder, validate_tree
 
 
@@ -45,37 +46,35 @@ class DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry."""
         arities = arities if arities is not None else ArityTable.default()
         entries: dict[str, tuple[str, ...]] = {}
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise MalformedLine(f"{path}:{lineno}: expected <char><TAB><token sequence>")
-                char, seq = fields
-                if len(char) != 1:
-                    raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
-                if char in entries:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
-                tokens = tuple(seq.split())
-                if not tokens:
-                    raise MalformedLine(f"{path}:{lineno}: empty token sequence")
-                try:
-                    check_sequence(tokens, arities)
-                except (Underflow, TrailingTokens) as exc:
-                    raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-                entries[char] = tokens
+        for lineno, line in numbered_lines(path):
+            if not line.strip() or line.startswith("#"):
+                continue
+            char, seq = two_fields(path, lineno, line, "<char><TAB><token sequence>")
+            if len(char) != 1:
+                raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
+            if char in entries:
+                raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
+            tokens = tuple(seq.split())
+            if not tokens:
+                raise MalformedLine(f"{path}:{lineno}: empty token sequence")
+            try:
+                check_sequence(tokens, arities)
+            except (Underflow, TrailingTokens) as exc:
+                raise TableParseError(f"{path}:{lineno}: {exc}") from exc
+            entries[char] = tokens
         # check_sequence already enforced the arities that __init__ checks.
         table = cls.__new__(cls)
         table.arities, table._entries, table._trees = arities, entries, {}
         return table
 
     def save(self, path) -> None:
-        """Write the table back out in the same TSV format, entry order preserved."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for char, tokens in self._entries.items():
-                fh.write(f"{char}\t{' '.join(tokens)}\n")
+        """Write the table back out in the same TSV format, entry order preserved;
+        ValueError first for a key that cannot load back: ``#``, tab, CR, LF, or not one char."""
+        for char in self._entries:
+            if len(char) != 1 or char in "#\t\n\r":
+                raise ValueError(f"key {char!r} cannot be saved in the table format")
+        write_lines(path, (f"{char}\t{' '.join(tokens)}\n"
+                           for char, tokens in self._entries.items()))
 
     def lookup(self, char: str) -> RadicalTree:
         """Stored tree if present, otherwise a single leaf of the character."""

@@ -29,6 +29,7 @@ from .errors import (
     UnknownToken,
 )
 from .table import DecompositionTable
+from .textio import numbered_lines, two_fields, write_lines
 from .tree import RadicalTree
 from .treesim import _matched_denominators
 
@@ -36,6 +37,7 @@ PAD_TOKEN = "<pad>"
 EOS_TOKEN = "<eos>"
 PAD_INDEX = 0
 EOS_INDEX = 1
+MAX_LEN_LIMIT = 10**6  # each record holds max_len indices and max_len weights
 
 
 class RadicalVocab:
@@ -67,34 +69,31 @@ class RadicalVocab:
         return [self.index(t) for t in tokens]
 
     def save(self, path) -> None:
-        """Write ``<token><TAB><index>`` lines in index order."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i, token in enumerate(self._tokens):
-                fh.write(f"{token}\t{i}\n")
+        """Write ``<token><TAB><index>`` lines in index order; ValueError first
+        for a token holding a tab or a line break, which would not load back."""
+        for token in self._tokens:
+            if "\t" in token or "\n" in token or "\r" in token:
+                raise ValueError(f"token {token!r} cannot be saved in the vocabulary format")
+        write_lines(path, (f"{token}\t{i}\n" for i, token in enumerate(self._tokens)))
 
     @classmethod
     def load(cls, path) -> RadicalVocab:
         pairs: dict[int, str] = {}
         index: dict[str, int] = {}
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise MalformedLine(f"{path}:{lineno}: expected <token><TAB><index>")
-                token, idx_text = fields
-                try:
-                    idx = int(idx_text)
-                except ValueError:
-                    raise MalformedLine(f"{path}:{lineno}: index {idx_text!r} is not an integer") from None
-                if idx in pairs:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate index {idx}")
-                if token in index:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate token {token!r}")
-                pairs[idx] = token
-                index[token] = idx
+        for lineno, line in numbered_lines(path):
+            if not line:
+                continue
+            token, text = two_fields(path, lineno, line, "<token><TAB><index>")
+            try:
+                idx = int(text)
+            except ValueError:
+                raise MalformedLine(f"{path}:{lineno}: index {text!r} is not an integer") from None
+            if idx in pairs:
+                raise DuplicateEntry(f"{path}:{lineno}: duplicate index {idx}")
+            if token in index:
+                raise DuplicateEntry(f"{path}:{lineno}: duplicate token {token!r}")
+            pairs[idx] = token
+            index[token] = idx
         if sorted(pairs) != list(range(len(pairs))) or len(pairs) < 2:
             raise MalformedLine(f"{path}: indices must be contiguous from 0 and include PAD/EOS")
         if pairs[PAD_INDEX] != PAD_TOKEN or pairs[EOS_INDEX] != EOS_TOKEN:
@@ -177,12 +176,12 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
                    vocab: RadicalVocab | None = None) -> list[TargetRecord]:
     """Build one TargetRecord per character, in charset order.
 
-    Every record's index and weight rows have length ``max_len``: data
-    positions, one EOS (weight 1), then PAD (weight 0).  A character whose
-    sequence plus EOS exceeds ``max_len`` raises SequenceTooLong.  With no
-    explicit ``vocab``, one is built from the table plus the fallback leaf
-    tokens the charset needs.  Each data weight is num / den, the same
-    correctly rounded quotient as float() of the radical_weights Fraction.
+    Every record's index and weight rows have length ``max_len`` (at most
+    MAX_LEN_LIMIT): data positions, one EOS (weight 1), then PAD (weight 0).
+    A character whose sequence plus EOS exceeds ``max_len`` raises
+    SequenceTooLong.  Without ``vocab``, one is built from the table plus the
+    fallback leaf tokens the charset needs.  Each data weight is num / den,
+    equal to float() of the radical_weights Fraction.
 
     A node's weight depends only on the child counts along its root path,
     so the weight row depends only on the tree's shape (its child counts in
@@ -190,6 +189,8 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     records of one shape share that row.
     """
     ratios = _weight_ratios(mode, lam)
+    if max_len > MAX_LEN_LIMIT:
+        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
     chars = list(charset)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
@@ -231,9 +232,8 @@ def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
 
 
 def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:
-    """Write jsonl_lines(records) to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(jsonl_lines(records))
+    """Write jsonl_lines(records) to ``path``, or to stdout if it is empty."""
+    write_lines(path, jsonl_lines(records))
 
 
 def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:

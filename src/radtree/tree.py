@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TrailingTokens, Underflow
+from .textio import numbered_lines, two_fields
 
 # The twelve ideographic description characters (U+2FF0..U+2FFB).
 # U+2FF2 and U+2FF3 combine three parts, the others two.
@@ -61,26 +62,19 @@ class ArityTable:
     def from_file(cls, path) -> ArityTable:
         """Load ``<token><TAB><arity>`` lines; ``#`` lines and blanks are skipped."""
         entries: dict[str, int] = {}
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise MalformedLine(f"{path}:{lineno}: expected <token><TAB><arity>")
-                token, arity_text = fields
-                try:
-                    arity = int(arity_text)
-                except ValueError:
-                    raise MalformedLine(
-                        f"{path}:{lineno}: arity {arity_text!r} is not an integer"
-                    ) from None
-                if arity < 2:
-                    raise MalformedLine(f"{path}:{lineno}: arity must be >= 2, got {arity}")
-                if token in entries:
-                    raise DuplicateEntry(f"{path}:{lineno}: duplicate structure token {token!r}")
-                entries[token] = arity
+        for lineno, line in numbered_lines(path):
+            if not line.strip() or line.startswith("#"):
+                continue
+            token, text = two_fields(path, lineno, line, "<token><TAB><arity>")
+            try:
+                arity = int(text)
+            except ValueError:
+                raise MalformedLine(f"{path}:{lineno}: arity {text!r} is not an integer") from None
+            if arity < 2:
+                raise MalformedLine(f"{path}:{lineno}: arity must be >= 2, got {arity}")
+            if token in entries:
+                raise DuplicateEntry(f"{path}:{lineno}: duplicate structure token {token!r}")
+            entries[token] = arity
         return cls(entries)
 
     def is_structure(self, token: str) -> bool:

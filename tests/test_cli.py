@@ -291,6 +291,25 @@ class TestExportTargets:
         assert vocab_lines[1] == "<eos>\t1"
         assert any(l.startswith("@\t") for l in vocab_lines)
 
+    @pytest.mark.parametrize("max_len", ["1000001", "10000000000000000000"])
+    def test_max_len_above_the_limit_exits_2(self, capsys, sample_table_path, max_len):
+        code, out, err = run(capsys, "export-targets", "--from-table", "--max-len", max_len,
+                             "--table", str(sample_table_path))
+        assert (code, out) == (2, "")
+        assert err == f"radtree: error: max_len must be at most 1000000, got {max_len}\n"
+
+    def test_charset_tab_line_cannot_be_saved_as_a_vocabulary_token(self, capsys, tmp_path,
+                                                                     sample_table_path):
+        charset = tmp_path / "charset.txt"
+        charset.write_text("好\n\t\n", encoding="utf-8")
+        vocab_path = tmp_path / "vocab.tsv"
+        code, _, err = run(capsys, "export-targets", "--charset", str(charset),
+                           "--table", str(sample_table_path), "--max-len", "6",
+                           "-o", str(tmp_path / "targets.jsonl"), "--vocab-out", str(vocab_path))
+        assert code == 2
+        assert err == "radtree: error: token '\\t' cannot be saved in the vocabulary format\n"
+        assert not vocab_path.exists()
+
     def test_from_table(self, capsys, sample_table_path):
         code, out, _ = run(capsys, "export-targets", "--from-table",
                            "--table", str(sample_table_path), "--max-len", "8")

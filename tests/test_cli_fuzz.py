@@ -1,9 +1,10 @@
 """Seeded fuzz of every CLI subcommand with odd files and flag values.
 
 Every run must exit 0, 2 (domain error) or 3 (I/O error), and a failing
-run must print exactly one line on stderr, never a traceback.  Flag values
-stay within what argparse accepts, so every failure reaches the CLI's own
-error handling; ``--max-len`` stays at or below 10⁴ so padding stays small.
+run must print exactly one line on stderr, never a traceback.  Some runs
+get argv that argparse itself rejects (a bad int, a missing positional, an
+unknown flag, ``--lambda -inf``), which must fail the same way.  Accepted
+``--max-len`` values stay at or below 10⁴ so padding stays small.
 """
 
 import os
@@ -43,6 +44,15 @@ LAMBDAS = ("1", "0", "0.5", "-1", "1e308", "nan", "inf", "-inf")
 RSSL_SPECS = ("4,7", "4", "a,b", ",", "7,4", "0,1", "1,2,3")
 OCCN_SPECS = ("100,50,20", "1,2", "x", "20,50,100", "0,0,0")
 MAX_LENS = (-3, -1, 0, 1, 3, 5, 8, 40, 10**4)
+# Appended to a generated argv, each makes argparse reject it.
+REJECTED_TAILS = (["--max-len", "x"], ["--no-such-flag"], ["--lambda", "-inf"], ["--mode"])
+REJECTED = {
+    "no-subcommand": [],
+    "bad-int": ["export-targets", "--from-table", "--max-len", "x"],
+    "missing-positional": ["treesim", "好"],
+    "unknown-flag": ["stats", "--input", "labels.txt", "--no-such-flag"],
+    "lambda-minus-inf": ["weights", "--char", "好", "--lambda", "-inf"],  # read as an option
+}
 
 
 @pytest.fixture
@@ -143,19 +153,43 @@ COMMANDS = {
 }
 
 
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected argv
+        return exc.code
+
+
+def assert_one_line(err: str, argv) -> None:
+    assert err.startswith("radtree: ") and err.count("\n") == 1 \
+        and err.endswith("\n"), (argv, err)
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_exit_codes_and_one_line_errors(command, files, capsys, monkeypatch):
     for name in [n for n in os.environ if n.startswith("RADTREE_")]:
         monkeypatch.delenv(name)
     rng = random.Random(f"fuzz:{command}")
+    reject = random.Random(f"reject:{command}")  # own stream: rng's argv stay as they were
     codes = set()
     for _ in range(60):
         argv = COMMANDS[command](rng, files)
-        code = main(argv)
+        rejected = reject.random() < 0.15
+        if rejected:
+            argv += reject.choice(REJECTED_TAILS)
+        code = exit_code(argv) if rejected else main(argv)
         err = capsys.readouterr().err
-        assert code in (0, 2, 3), argv
+        assert code == 2 if rejected else code in (0, 2, 3), argv
         if code:
-            assert err.startswith("radtree: ") and err.count("\n") == 1 \
-                and err.endswith("\n"), (argv, err)
+            assert_one_line(err, argv)
         codes.add(code)
     assert codes == {0, 2, 3}
+
+
+@pytest.mark.parametrize("argv", REJECTED.values(), ids=REJECTED.keys())
+def test_argparse_rejections_are_one_line(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line(captured.err, argv)
+    assert captured.err.startswith("radtree: error: ")

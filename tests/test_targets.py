@@ -19,6 +19,7 @@ from radtree.table import DecompositionTable
 from radtree.targets import (
     EOS_INDEX,
     EOS_TOKEN,
+    MAX_LEN_LIMIT,
     PAD_INDEX,
     PAD_TOKEN,
     RadicalVocab,
@@ -157,6 +158,11 @@ class TestExportTargets:
     def test_too_long_reports_character_and_length(self, sample_table):
         with pytest.raises(SequenceTooLong, match="森"):
             export_targets(["好", "森"], sample_table, 5, "naive")
+
+    @pytest.mark.parametrize("max_len", [MAX_LEN_LIMIT + 1, 10**19])
+    def test_max_len_above_the_limit_is_refused(self, sample_table, max_len):
+        with pytest.raises(ValueError, match=f"at most {MAX_LEN_LIMIT}, got {max_len}$"):
+            export_targets(["好"], sample_table, max_len, "naive")
 
     def test_charset_order_preserved(self, sample_table):
         records = export_targets(["妈", "好"], sample_table, 4, "naive")
