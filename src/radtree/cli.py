@@ -20,7 +20,7 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import build_vocab, export_targets, radical_weights, write_targets_jsonl
+from .targets import build_vocab, export_targets, jsonl_lines, radical_weights, write_targets_jsonl
 from .textio import numbered_lines, write_lines
 from .tree import ArityTable, parse_sequence, rssl, to_preorder
 from .treesim import char_sim
@@ -103,8 +103,15 @@ def _json_text(value, indent: int | None) -> str:
     return "".join(out)
 
 
+def _write(path, lines) -> None:
+    if path:
+        write_lines(path, lines)
+    else:
+        sys.stdout.writelines(lines)
+
+
 def _emit_json(args, payload) -> None:
-    write_lines(args.output, [_json_text(payload, 2 if args.pretty else None) + "\n"])
+    _write(args.output, [_json_text(payload, 2 if args.pretty else None) + "\n"])
 
 
 def _tree_json(tree, arities: ArityTable) -> dict:
@@ -148,7 +155,7 @@ def cmd_treesim(args) -> int:
         _single_char(args.char2, "CHAR2"),
         table,
     )
-    write_lines(args.output, [f"{float(score):.12f}\n"])
+    _write(args.output, [f"{float(score):.12f}\n"])
     return 0
 
 
@@ -233,9 +240,12 @@ def cmd_export_targets(args) -> int:
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     records = export_targets(chars, table, max_len=args.max_len,
                              mode=args.mode, lam=args.lam, vocab=vocab)
-    write_targets_jsonl(records, args.output)
-    if args.vocab_out:
+    if args.vocab_out:  # first: a vocabulary that cannot be saved stops all output
         vocab.save(args.vocab_out)
+    if args.output:
+        write_targets_jsonl(records, args.output)
+    else:
+        sys.stdout.writelines(jsonl_lines(records))
     return 0
 
 

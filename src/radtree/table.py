@@ -69,9 +69,10 @@ class DecompositionTable:
 
     def save(self, path) -> None:
         """Write the table back out in the same TSV format, entry order preserved;
-        ValueError first for a key that cannot load back: ``#``, tab, CR, LF, or not one char."""
-        for char in self._entries:
-            if len(char) != 1 or char in "#\t\n\r":
+        ValueError first for a key ``#``, tab, CR, LF or not one char, or a token
+        that is empty or holds whitespace: such an entry would not load back."""
+        for char, tokens in self._entries.items():
+            if len(char) != 1 or char in "#\t\n\r" or " ".join(tokens).split() != list(tokens):
                 raise ValueError(f"key {char!r} cannot be saved in the table format")
         write_lines(path, (f"{char}\t{' '.join(tokens)}\n"
                            for char, tokens in self._entries.items()))

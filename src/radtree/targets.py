@@ -232,7 +232,7 @@ def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
 
 
 def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:
-    """Write jsonl_lines(records) to ``path``, or to stdout if it is empty."""
+    """Write jsonl_lines(records) to ``path``."""
     write_lines(path, jsonl_lines(records))
 
 

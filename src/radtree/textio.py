@@ -1,9 +1,6 @@
 """The text format of every file radtree reads or writes: UTF-8 with ``\\n``
 line ends.  numbered_lines ignores a leading byte-order mark and also ends a
-line at ``\\r\\n`` or ``\\r``; which lines to skip is each reader's policy.
-write_lines writes to stdout when it is given no path."""
-
-import sys
+line at ``\\r\\n`` or ``\\r``; which lines to skip is each reader's policy."""
 
 from .errors import MalformedLine
 
@@ -22,7 +19,5 @@ def two_fields(path, lineno: int, line: str, layout: str, maxsplit: int = -1) ->
 
 
 def write_lines(path, lines) -> None:
-    if not path:
-        return sys.stdout.writelines(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)

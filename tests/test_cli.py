@@ -302,13 +302,13 @@ class TestExportTargets:
                                                                      sample_table_path):
         charset = tmp_path / "charset.txt"
         charset.write_text("好\n\t\n", encoding="utf-8")
-        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path, targets_path = tmp_path / "vocab.tsv", tmp_path / "targets.jsonl"
         code, _, err = run(capsys, "export-targets", "--charset", str(charset),
                            "--table", str(sample_table_path), "--max-len", "6",
-                           "-o", str(tmp_path / "targets.jsonl"), "--vocab-out", str(vocab_path))
+                           "-o", str(targets_path), "--vocab-out", str(vocab_path))
         assert code == 2
         assert err == "radtree: error: token '\\t' cannot be saved in the vocabulary format\n"
-        assert not vocab_path.exists()
+        assert not vocab_path.exists() and not targets_path.exists()
 
     def test_from_table(self, capsys, sample_table_path):
         code, out, _ = run(capsys, "export-targets", "--from-table",

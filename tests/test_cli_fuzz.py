@@ -1,10 +1,11 @@
 """Seeded fuzz of every CLI subcommand with odd files and flag values.
 
 Every run must exit 0, 2 (domain error) or 3 (I/O error), and a failing
-run must print exactly one line on stderr, never a traceback.  Some runs
-get argv that argparse itself rejects (a bad int, a missing positional, an
-unknown flag, ``--lambda -inf``), which must fail the same way.  Accepted
-``--max-len`` values stay at or below 10⁴ so padding stays small.
+run must print exactly one line on stderr, never a traceback.  Some argv
+are also run a second time with a tail that argparse itself rejects (a bad
+int, an unknown flag, ``--lambda -inf``, a flag missing its value), which
+must exit 2 the same way.  Accepted ``--max-len`` values stay at or below
+10⁴ so padding stays small.
 """
 
 import os
@@ -174,15 +175,16 @@ def test_exit_codes_and_one_line_errors(command, files, capsys, monkeypatch):
     codes = set()
     for _ in range(60):
         argv = COMMANDS[command](rng, files)
-        rejected = reject.random() < 0.15
-        if rejected:
-            argv += reject.choice(REJECTED_TAILS)
-        code = exit_code(argv) if rejected else main(argv)
+        code = main(argv)
         err = capsys.readouterr().err
-        assert code == 2 if rejected else code in (0, 2, 3), argv
+        assert code in (0, 2, 3), argv
         if code:
             assert_one_line(err, argv)
         codes.add(code)
+        if reject.random() < 0.15:  # an extra run of the same argv with a rejected tail
+            tailed = argv + reject.choice(REJECTED_TAILS)
+            assert exit_code(tailed) == 2, tailed
+            assert_one_line(capsys.readouterr().err, tailed)
     assert codes == {0, 2, 3}
 
 

@@ -18,8 +18,8 @@ from radtree.errors import MalformedLine
 from radtree.metrics import read_corpus_tsv
 from radtree.stats import read_labels
 from radtree.table import DecompositionTable
-from radtree.targets import RadicalVocab
-from radtree.tree import ArityTable, parse_sequence
+from radtree.targets import RadicalVocab, build_vocab, write_targets_jsonl
+from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence
 
 PACKAGE = Path(radtree.__file__).parent
 
@@ -113,6 +113,29 @@ def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
     else:
         vocab.save(path)
         assert RadicalVocab.load(path) == vocab
+
+
+@pytest.mark.parametrize("symbol", ["#", "\U00020000", "a b", "a\tb", "a\nb", "\x85", "a\u2028b"],
+                         ids=ascii)
+def test_table_token_reloads_equal_or_is_refused(tmp_path, symbol):
+    table = DecompositionTable({"好": RadicalTree("⿰", (leaf(symbol), leaf("子")))})
+    path = tmp_path / "table.tsv"
+    if symbol.split() != [symbol]:  # load splits the token field on any whitespace
+        with pytest.raises(ValueError, match=re.escape(repr("好"))):
+            table.save(path)
+        assert not path.exists()
+    else:
+        table.save(path)
+        assert read_table(path) == {"好": ("⿰", symbol, "子")}
+
+
+@pytest.mark.parametrize("path, error", [("", FileNotFoundError), (None, TypeError)])
+def test_writers_need_a_file_path(capsys, path, error):
+    table = DecompositionTable({"好": parse_sequence(["⿰", "女", "子"], ArityTable.default())})
+    for save in (table.save, build_vocab(table).save, lambda p: write_targets_jsonl([], p)):
+        with pytest.raises(error):
+            save(path)
+    assert capsys.readouterr().out == ""
 
 
 OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
