@@ -26,6 +26,10 @@ from .tree import ArityTable, parse_sequence, rssl, to_preorder
 from .treesim import char_sim
 
 
+# Every line break of str.splitlines, escaped: a failure prints one line.
+_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _env(name: str, fallback=None):
     return os.environ.get(f"RADTREE_{name}", fallback)
 
@@ -251,7 +255,7 @@ def cmd_export_targets(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one stderr line, like every other failure
-        self.exit(2, f"radtree: error: {message}\n")
+        self.exit(2, f"radtree: error: {message.translate(_BREAKS)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,11 +347,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RadtreeError, ValueError) as exc:
-        print(f"radtree: error: {exc}", file=sys.stderr)
-        return 2
+        code, kind, message = 2, "error", str(exc)
     except OSError as exc:
-        print(f"radtree: io error: {exc}", file=sys.stderr)
-        return 3
+        code, kind, message = 3, "io error", str(exc)
+    print(f"radtree: {kind}: {message.translate(_BREAKS)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

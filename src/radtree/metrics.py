@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 from .errors import DuplicateEntry, EmptyCorpus, MissingId
 from .table import DecompositionTable
 from .textio import numbered_lines, two_fields
-from .treesim import char_sim
+from .treesim import _matched_denominators
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -169,25 +169,26 @@ def bucket_occn(count: int, spec: BucketSpec = DEFAULT_BUCKETS) -> str:
 
 
 class _BucketAcc:
-    __slots__ = ("count", "correct", "deleted", "sub_sim")
+    __slots__ = ("count", "correct", "deleted", "sub_ks")
 
     def __init__(self):
         self.count = 0
         self.correct = 0
         self.deleted = 0
-        self.sub_sim = Fraction(0)  # sum of char_sim over substitutions
+        self.sub_ks: Counter = Counter()  # k -> matched nodes of weight 1/k in substitutions
 
-    def add(self, count: int, correct: int, deleted: int, sub_sim: Fraction) -> None:
+    def add(self, count: int, correct: int, deleted: int, sub_ks: Counter | None) -> None:
         self.count += count
         self.correct += correct
         self.deleted += deleted
-        if sub_sim:  # most characters have no substitutions; skip the Fraction add
-            self.sub_sim += sub_sim
+        if sub_ks:  # most characters have no substitutions
+            self.sub_ks.update(sub_ks)
 
     def mean_treesim(self, scope: str) -> float | None:
         # Matches score 1 and deletions 0; "aligned" leaves deletions out.
         sim_count = self.count if scope == "all" else self.count - self.deleted
-        return float((self.correct + self.sub_sim) / sim_count) if sim_count else None
+        sub_sim = sum((Fraction(c, k) for k, c in self.sub_ks.items()), Fraction(0))
+        return float((self.correct + sub_sim) / sim_count) if sim_count else None
 
     def as_dict(self, scope: str) -> dict:
         return {
@@ -274,15 +275,17 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
 
     matched_by_char = Counter(matched)
     deleted_by_char = Counter(deleted)
-    sub_sim: dict[str, Fraction] = {}
-    for (gt_char, pred_char), k in Counter(substituted).items():
-        sub_sim[gt_char] = sub_sim.get(gt_char, 0) + k * char_sim(gt_char, pred_char, table)
+    sub_ks: dict[str, Counter] = {}  # gt char -> the k of its substitutions' matched nodes
+    for (gt_char, pred_char), times in Counter(substituted).items():
+        ks = sub_ks.setdefault(gt_char, Counter())
+        for k in _matched_denominators(table._preorder(gt_char), table._preorder(pred_char)):
+            ks[k] += times
 
     total = _BucketAcc()
     rssl_acc = {name: _BucketAcc() for name in RSSL_BUCKETS}
     occn_acc = {name: _BucketAcc() for name in OCCN_BUCKETS} if occn is not None else None
     for char, count in Counter("".join(gt.values())).items():
-        tally = (count, matched_by_char[char], deleted_by_char[char], sub_sim.get(char, 0))
+        tally = (count, matched_by_char[char], deleted_by_char[char], sub_ks.get(char))
         total.add(*tally)
         rssl_acc[bucket_rssl(len(table.tokens(char)), buckets)].add(*tally)
         if occn_acc is not None:

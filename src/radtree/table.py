@@ -20,8 +20,8 @@ class DecompositionTable:
     Each entry is kept as its preorder token tuple, checked against the
     arities when the table is made; a character's tree is built from its
     tokens on its first lookup and then kept.  Code that needs only the
-    tokens (save, the inventory, rssl, export rows) reads ``tokens()`` and
-    builds no tree.
+    tokens (save, the inventory, rssl) reads ``tokens()``, and similarity,
+    weights and export read ``_preorder()``; neither builds a tree.
 
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined
@@ -74,8 +74,10 @@ class DecompositionTable:
         for char, tokens in self._entries.items():
             if len(char) != 1 or char in "#\t\n\r" or " ".join(tokens).split() != list(tokens):
                 raise ValueError(f"key {char!r} cannot be saved in the table format")
-        write_lines(path, (f"{char}\t{' '.join(tokens)}\n"
-                           for char, tokens in self._entries.items()))
+        # load strips a leading U+FEFF as a byte-order mark; a first key U+FEFF needs one
+        bom = "\ufeff" if next(iter(self._entries), None) == "\ufeff" else ""
+        write_lines(path, (bom, *(f"{char}\t{' '.join(tokens)}\n"
+                                  for char, tokens in self._entries.items())))
 
     def lookup(self, char: str) -> RadicalTree:
         """Stored tree if present, otherwise a single leaf of the character."""
@@ -90,6 +92,11 @@ class DecompositionTable:
     def tokens(self, char: str) -> tuple[str, ...]:
         """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""
         return self._entries.get(char) or (char,)
+
+    def _preorder(self, char: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """Preorder tokens and child counts; ``((char,), (0,))`` for a fallback leaf."""
+        tokens = self._entries.get(char)
+        return (tokens, self.arities.child_counts(tokens)) if tokens else ((char,), (0,))
 
     def chars(self) -> list[str]:
         """Tabulated characters in entry (file) order."""

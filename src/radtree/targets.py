@@ -16,6 +16,7 @@ every positively weighted position is predicted one-hot correct.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .table import DecompositionTable
 from .textio import numbered_lines, two_fields, write_lines
-from .tree import RadicalTree
 from .treesim import _matched_denominators
 
 PAD_TOKEN = "<pad>"
@@ -127,9 +127,9 @@ def build_vocab(table: DecompositionTable, extra_tokens: Iterable[str] = ()) -> 
     return RadicalVocab(table.radical_inventory() | set(extra_tokens))
 
 
-def _weight_ratios(mode: str, lam) -> Callable[[RadicalTree], list[tuple[int, int]]]:
-    """Validate mode and lam = n/d once; return tree -> per-node integer ratios
-    (d*k + n, d*k) = 1 + lam/k for node weight 1/k.  Naive mode is lam = 0."""
+def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
+    """Validate mode and lam = n/d once; return (symbols, child counts) -> per-node
+    integer ratios (d*k + n, d*k) = 1 + lam/k for node weight 1/k.  Naive mode is lam = 0."""
     if mode not in ("naive", "treesim"):
         raise ValueError(f"mode must be 'naive' or 'treesim', got {mode!r}")
     try:
@@ -150,7 +150,7 @@ def radical_weights(char: str, table: DecompositionTable, mode: str,
     float inputs like 0.5 keep the identities w_treesim - w_naive =
     lam * tree_weights and sum = rssl + lam).
     """
-    return [Fraction(num, den) for num, den in _weight_ratios(mode, lam)(table.lookup(char))]
+    return [Fraction(num, den) for num, den in _weight_ratios(mode, lam)(table._preorder(char))]
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     records = []
     for char in chars:
-        tokens = table.tokens(char)
+        tokens, shape = table._preorder(char)
         need = len(tokens) + 1
         if need > max_len:
             raise SequenceTooLong(
@@ -206,11 +206,10 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
             )
         pad = max_len - need
         indices = (*vocab.encode(tokens), EOS_INDEX, *([PAD_INDEX] * pad))
-        shape = table.arities.child_counts(tokens)
         weights = rows.get(shape)
         if weights is None:
             weights = rows[shape] = (
-                *(num / den for num, den in ratios(table.lookup(char))), 1.0, *([0.0] * pad))
+                *(num / den for num, den in ratios((tokens, shape))), 1.0, *([0.0] * pad))
         records.append(TargetRecord(char, tokens, indices, weights))
     return records
 
@@ -218,17 +217,25 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
 def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
     """Each record as ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
     plus a newline; floats use shortest round-trip decimals, so identical
-    inputs always produce identical bytes.  A weight row object shared by
+    inputs always produce identical bytes.  Index rows are ints, each distinct
+    tail after the data positions encoded once; a weight row object shared by
     several records is encoded once (keyed by identity, not equality, since
     0.0 == -0.0 and 1 == 1.0 encode differently)."""
     dumps = json.JSONEncoder(ensure_ascii=False).encode
-    encoded: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its JSON)
+    rows: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its JSON)
+    tails: dict[tuple[int, ...], str] = {}  # index tail -> ", i" per index
     for record in records:
         row = record.weights
-        if id(row) not in encoded:
-            encoded[id(row)] = (row, dumps(row))
-        yield (f'{{"char": {dumps(record.char)}, "tokens": {dumps(record.tokens)}, '
-               f'"indices": {dumps(record.indices)}, "weights": {encoded[id(row)][1]}}}\n')
+        if id(row) not in rows:
+            rows[id(row)] = (row, dumps(row))
+        n = len(record.tokens)
+        tail = record.indices[n:]
+        if tail not in tails:
+            tails[tail] = "".join([f", {i}" for i in tail])
+        indices = (", ".join(map(str, record.indices[:n])) + tails[tail]).removeprefix(", ")
+        tokens = ", ".join(map(encode_basestring, record.tokens))
+        yield (f'{{"char": {encode_basestring(record.char)}, "tokens": [{tokens}], '
+               f'"indices": [{indices}], "weights": {rows[id(row)][1]}}}\n')
 
 
 def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:

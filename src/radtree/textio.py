@@ -2,13 +2,14 @@
 line ends.  numbered_lines ignores a leading byte-order mark and also ends a
 line at ``\\r\\n`` or ``\\r``; which lines to skip is each reader's policy."""
 
+from itertools import repeat
+
 from .errors import MalformedLine
 
 
 def numbered_lines(path):
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            yield lineno, raw.rstrip("\n")
+        yield from enumerate(map(str.rstrip, fh, repeat("\n")), 1)
 
 
 def two_fields(path, lineno: int, line: str, layout: str, maxsplit: int = -1) -> list[str]:

@@ -126,9 +126,10 @@ class RadicalTree:
     # The dataclass would generate these three recursively; one preorder walk
     # gives the same results on trees of any depth.
 
-    def _shape(self) -> list[tuple[str, int]]:
-        """Preorder (symbol, child count) pairs, which determine an ordered tree."""
-        return [(node.symbol, len(node.children)) for node in iter_preorder(self)]
+    def _shape(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """Preorder symbols and child counts, which determine an ordered tree."""
+        nodes = list(iter_preorder(self))
+        return tuple(node.symbol for node in nodes), tuple(len(node.children) for node in nodes)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -136,7 +137,7 @@ class RadicalTree:
         return self._shape() == other._shape()
 
     def __hash__(self) -> int:
-        return hash(tuple(self._shape()))
+        return hash(self._shape())
 
     def __repr__(self) -> str:
         out: list[str] = []

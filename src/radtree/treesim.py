@@ -16,41 +16,64 @@ have equal symbols, hence equal arities, hence equal weights in either
 tree, so the score is the same no matter which tree supplies the weights.
 
 One walk, yielding the integer k of each matched node, computes both
-functions and the loss weights in targets.py; a tree's weights are those
-of its nodes matched against itself.  It keeps an explicit stack, so trees
-of any depth work.  Results are exact Fractions; float() them for a score.
+functions, the evaluation sums in metrics.py and the loss weights in
+targets.py; a tree's weights are those of its nodes matched against itself.
+It reads each tree as preorder arrays of symbols and child counts, pairs
+children left to right (the surplus of the longer list unpaired) and steps
+over a subtree by the index where it ends.  It keeps an explicit stack, so
+trees of any depth work.  Results are exact Fractions; float() them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .tree import RadicalTree
 
 
-def _matched_denominators(a: RadicalTree, b: RadicalTree) -> Iterator[int]:
-    """The k of the weight 1/k of each node of ``a`` that matches ``b``, in preorder."""
-    stack = [(a, b, 1)]
+def _subtree_ends(counts: Sequence[int]) -> list[int]:
+    """For each preorder index, the index one past the end of its subtree."""
+    ends = [0] * len(counts)
+    for i in range(len(counts) - 1, -1, -1):
+        end = i + 1  # each hop passes one child subtree
+        for _ in range(counts[i]):
+            end = ends[end]
+        ends[i] = end
+    return ends
+
+
+def _matched_denominators(a: tuple, b: tuple) -> Iterator[int]:
+    """The k of the weight 1/k of each node of ``a`` that matches ``b``, in preorder,
+    each tree given as its preorder symbols and child counts; see RadicalTree._shape."""
+    (sym_a, cnt_a), (sym_b, cnt_b) = a, b
+    end_a, end_b = _subtree_ends(cnt_a), _subtree_ends(cnt_b)
+    stack = [(0, 0, 1)]
     while stack:
-        x, y, k = stack.pop()
-        if x.symbol != y.symbol:
+        i, j, k = stack.pop()
+        if sym_a[i] != sym_b[j]:
             continue
-        if x.children:
-            k *= len(x.children) + 1
-            pairs = [(cx, cy, k) for cx, cy in zip(x.children, y.children)]
+        n = cnt_a[i]
+        if n:
+            k *= n + 1
+            pairs, ci, cj = [], i + 1, j + 1  # from the first children ...
+            for _ in range(min(n, cnt_b[j])):
+                pairs.append((ci, cj, k))
+                ci, cj = end_a[ci], end_b[cj]  # ... to their next siblings
             stack.extend(reversed(pairs))
         yield k
 
 
 def tree_weights(tree: RadicalTree) -> list[Fraction]:
     """Per-node weights in preorder order; always sums to exactly 1."""
-    return [Fraction(1, k) for k in _matched_denominators(tree, tree)]
+    nodes = tree._shape()
+    return [Fraction(1, k) for k in _matched_denominators(nodes, nodes)]
 
 
 def tree_sim(a: RadicalTree, b: RadicalTree) -> Fraction:
     """Similarity in [0, 1] between two trees built over the same arity table."""
-    return sum((Fraction(1, k) for k in _matched_denominators(a, b)), Fraction(0))
+    ks = _matched_denominators(a._shape(), b._shape())
+    return sum((Fraction(1, k) for k in ks), Fraction(0))
 
 
 def char_sim(c1: str, c2: str, table) -> Fraction:
@@ -59,4 +82,5 @@ def char_sim(c1: str, c2: str, table) -> Fraction:
     Characters absent from the table compare as single-leaf trees of
     themselves, so the result is defined for any pair.
     """
-    return tree_sim(table.lookup(c1), table.lookup(c2))
+    ks = _matched_denominators(table._preorder(c1), table._preorder(c2))
+    return sum((Fraction(1, k) for k in ks), Fraction(0))

@@ -417,6 +417,22 @@ class TestPlumbing:
         assert code == 0
         assert json.loads(out)["rssl"] == 3
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=ascii)
+    def test_path_with_a_line_break_fails_in_one_line(self, capsys, tmp_path, brk):
+        path = tmp_path / f"a{brk}b.tsv"
+        path.write_text("x\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--gt", str(path), "--pred", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and len(err.splitlines()) == 1
+        assert err.startswith("radtree: error: ") and ascii(brk)[1:-1] + "b.tsv:1:" in err
+
+    def test_rejected_argument_with_a_line_break_fails_in_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["treesim", "a", "b", "c\nd"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "radtree: error: unrecognized arguments: c\\nd\n"
+
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")
         assert code == 3

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_align, brute_levenshtein, evaluate_oracle, random_text
+from helpers import (
+    brute_align,
+    brute_levenshtein,
+    evaluate_oracle,
+    mutate,
+    random_text,
+    random_tree,
+)
 from radtree.errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
 from radtree.metrics import (
     DEFAULT_BUCKETS,
@@ -23,23 +30,25 @@ from radtree.metrics import (
     one_minus_ned,
     read_corpus_tsv,
 )
+from radtree.table import DecompositionTable
+from radtree.tree import parse_sequence
 
 ALPHABET = "ab好妈林森x"
 # Around one and two 64-bit words, where the kernel's ints gain a digit.
 BOUNDARY_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129)
 
 
-def edited(rng: random.Random, text: str, rate: float = 0.15) -> str:
+def edited(rng: random.Random, text: str, rate: float = 0.15, alphabet: str = ALPHABET) -> str:
     """``text`` with random substitutions, deletions and insertions."""
     out = []
     for char in text:
         roll = rng.random()
         if roll < rate / 3:
-            out.append(rng.choice(ALPHABET))
+            out.append(rng.choice(alphabet))
         elif roll < 2 * rate / 3:
             continue
         elif roll < rate:
-            out += [char, rng.choice(ALPHABET)]
+            out += [char, rng.choice(alphabet)]
         else:
             out.append(char)
     return "".join(out)
@@ -300,6 +309,25 @@ class TestEvaluate:
             occn = {c: rng.randint(0, 150) for c in ALPHABET[:-1]} if with_occn else None
             report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
             assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
+
+    @pytest.mark.parametrize("scope", ["all", "aligned"])
+    def test_matches_per_character_oracle_on_deep_trees(self, arities, scope):
+        # Large random trees, their mutants and 40-level chains, so that
+        # substitutions match many nodes at many weights; "⿰", "x" untabulated.
+        rng = random.Random(97)
+        trees = [random_tree(rng, max_depth=9, structure_prob=0.85) for _ in range(3)]
+        trees += [mutate(rng, rng.choice(trees)) for _ in range(3)]
+        chain = ["⿰"] * 40 + ["A"] * 41
+        trees += [parse_sequence(chain, arities), parse_sequence(chain[:-3] + ["B"] * 3, arities)]
+        chars = "甲乙丙丁戊己庚辛"
+        table = DecompositionTable(dict(zip(chars, trees)), arities)
+        alphabet = chars + "⿰x"
+        for _ in range(4):
+            gt = {f"s{i}": random_text(rng, alphabet, 12) for i in range(15)}
+            pred = {k: edited(rng, v, 0.4, alphabet) for k, v in gt.items()}
+            occn = {c: rng.randint(0, 150) for c in alphabet}
+            report = evaluate(gt, pred, table, occn=occn, treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, table, occn, scope)
 
     def test_scope_validation(self, sample_table):
         with pytest.raises(ValueError):

@@ -23,8 +23,10 @@ from radtree.targets import (
     PAD_INDEX,
     PAD_TOKEN,
     RadicalVocab,
+    TargetRecord,
     build_vocab,
     export_targets,
+    jsonl_lines,
     radical_weights,
     weighted_ce,
     write_targets_jsonl,
@@ -222,6 +224,22 @@ def dumps_lines(records) -> bytes:
                    for r in records).encode("utf-8")
 
 
+def test_jsonl_lines_equal_json_dumps_on_hand_built_records():
+    # Index tails that are not EOS and PAD, repeating under other data, and
+    # a weight row object of its own per record.
+    rng = random.Random(211)
+    pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀", "<pad>", "é"]
+    floats = (0.0, -0.0, 1.0, 0.1, 1 / 3, 2.5e-300, 1e22, -7.0)
+    records = []
+    for _ in range(400):
+        tokens = tuple(rng.choices(pool, k=rng.randint(0, 5)))
+        indices = tuple(rng.choice((rng.randint(0, 3), rng.randint(-9, 10**20)))
+                        for _ in range(rng.randint(0, 8)))
+        weights = tuple(rng.choices(floats, k=rng.randint(0, 8)))
+        records.append(TargetRecord(rng.choice(pool), tokens, indices, weights))
+    assert "".join(jsonl_lines(records)).encode("utf-8") == dumps_lines(records)
+
+
 class TestShapeRows:
     """export_targets computes one weight row per tree shape and shares it."""
 
@@ -269,7 +287,7 @@ class TestShapeRows:
 
         monkeypatch.setattr(table_module, "build_checked", counting_build)
         export_targets(list(self.ROWS) * 3, table, 8, "treesim")
-        assert len(built) == 4  # 甲, 乙 and 戊 share a shape
+        assert built == []  # rows come from the preorder arrays
 
     def test_jsonl_bytes_equal_json_dumps(self, tmp_path, table):
         rng = random.Random(200)

@@ -102,6 +102,17 @@ def test_table_key_reloads_equal_or_is_refused(tmp_path, key):
         assert read_table(path) == {key: ("⿰", "女", "子"), "妈": ("⿰", "女", "子")}
 
 
+@pytest.mark.parametrize("keys", [("\ufeff", "妈"), ("妈", "\ufeff")], ids=ascii)
+def test_byte_order_mark_key_reloads_equal(tmp_path, keys):
+    # load drops one leading U+FEFF, so save writes one only before a first key U+FEFF.
+    tree = parse_sequence(["⿰", "女", "子"], ArityTable.default())
+    path = tmp_path / "table.tsv"
+    DecompositionTable(dict.fromkeys(keys, tree)).save(path)
+    bom = "\ufeff" if keys[0] == "\ufeff" else ""
+    assert path.read_bytes() == (bom + "".join(f"{k}\t⿰ 女 子\n" for k in keys)).encode("utf-8")
+    assert list(read_table(path).items()) == [(k, ("⿰", "女", "子")) for k in keys]
+
+
 @pytest.mark.parametrize("token", [*ODD_KEYS[:5], "a\tb", "a\nb", "a\rb"], ids=ascii)
 def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
     vocab = RadicalVocab([token, "z"])

@@ -13,7 +13,7 @@ from helpers import (
     subtree_at,
 )
 from radtree.table import DecompositionTable
-from radtree.tree import RadicalTree, leaf, parse_sequence, rssl
+from radtree.tree import RadicalTree, leaf, parse_sequence, rssl, to_preorder
 from radtree.treesim import char_sim, tree_sim, tree_weights
 from test_tree import trees
 
@@ -193,3 +193,66 @@ class TestCharSim:
         table = DecompositionTable()
         assert char_sim("a", "b", table) == 0
         assert char_sim("a", "a", table) == 1
+
+
+class TestCharSimOnRandomTables:
+    """char_sim reads the table's preorder arrays; the oracle scores the
+    trees that lookup builds."""
+
+    # Untabulated: two structure tokens, whose fallback leaves are radicals
+    # with a structure's symbol, and two radicals, "A" also a tree leaf.
+    UNTABULATED = ("⿰", "⿲", "@", "A")
+
+    def test_matches_oracle_in_both_orders(self):
+        rng = random.Random(83)
+        for _ in range(8):
+            bases = [random_tree(rng, max_depth=rng.randint(0, 4)) for _ in range(3)]
+            bases.append(node("⿰", random_tree(rng, max_depth=2), random_tree(rng, max_depth=2)))
+            trees = bases + [mutate(rng, rng.choice(bases)) for _ in range(6)]
+            chars = [chr(0x4E00 + i) for i in range(len(trees))]
+            table = DecompositionTable(dict(zip(chars, trees)))
+            pool = chars + list(self.UNTABULATED)
+            for c1 in pool:
+                for c2 in pool:
+                    assert char_sim(c1, c2, table) == sim_oracle(table.lookup(c1),
+                                                                 table.lookup(c2))
+
+    def test_matches_oracle_below_3000_level_chains(self, tmp_path):
+        # Each tree is a chain of 3000 structure nodes, each with a radical
+        # as its second child, over a small random tree.  The chain is
+        # scored in closed form and the tree below it by the oracle.
+        depth = 3000
+        rng = random.Random(89)
+
+        def chain_tokens(chain):
+            structures, radicals, bottom = chain
+            return [*structures, *to_preorder(bottom), *reversed(radicals)]
+
+        def chain_sim(a, b):
+            total, w = Fraction(0), Fraction(1)
+            for sa, sb, ra, rb in zip(a[0], b[0], a[1], b[1]):
+                if sa != sb:
+                    return total
+                w /= 3
+                total += w * (1 + (ra == rb))
+            return total + w * sim_oracle(a[2], b[2])
+
+        base = (["⿰"] * depth, rng.choices("AB", k=depth), random_tree(rng, max_depth=3))
+        chains = [base]
+        for _ in range(3):
+            structures, radicals, bottom = list(base[0]), list(base[1]), base[2]
+            if rng.random() < 0.5:
+                structures[rng.randrange(depth // 2, depth)] = "⿱"
+            for t in rng.sample(range(depth), 3):
+                radicals[t] = "C"
+            chains.append((structures, radicals, mutate(rng, bottom)))
+        chars = [chr(0x4E00 + i) for i in range(len(chains))]
+        path = tmp_path / "deep.tsv"
+        path.write_text("".join(f"{c}\t{' '.join(chain_tokens(ch))}\n"
+                                for c, ch in zip(chars, chains)), encoding="utf-8")
+        table = DecompositionTable.load(path)
+        for c1, a in zip(chars, chains):
+            for c2, b in zip(chars, chains):
+                assert char_sim(c1, c2, table) == chain_sim(a, b)
+            assert char_sim("⿰", c1, table) == 1  # the fallback leaf has no children
+            assert char_sim(c1, "⿰", table) == Fraction(1, 3)
