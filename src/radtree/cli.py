@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import EmptyCorpus, MalformedLine, RadtreeError
@@ -254,6 +255,12 @@ def cmd_export_targets(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e3", "-inf" and "-nan" as values, as argparse reads "-1"; no flag looks so.
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):  # one stderr line, like every other failure
         self.exit(2, f"radtree: error: {message.translate(_BREAKS)}\n")
 

@@ -7,7 +7,8 @@ character is correct iff its aligned op is a match, and its tree-similarity
 contribution is char_sim for matches/substitutions and 0 for deletions.
 Insertions only affect the line metrics.  Character results are bucketed by
 decomposition-tree size (rssl) and, when a frequency map is supplied, by
-training-corpus occurrence count (occn).
+training-corpus occurrence count (occn).  Only the part of a line between
+its common prefix and suffix with the prediction is aligned.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from typing import Mapping, NamedTuple
 
 from .errors import DuplicateEntry, EmptyCorpus, MissingId
@@ -80,6 +83,15 @@ def one_minus_ned(gt: str, pred: str) -> float:
     if not gt and not pred:
         return 1.0
     return float(1 - Fraction(levenshtein(gt, pred), max(len(gt), len(pred))))
+
+
+def _trim(a: str, b: str) -> tuple[str, str]:
+    """``a`` and ``b`` without their common prefix and suffix; iterators that run
+    in C find the first unequal pair from either end."""
+    start = next(compress(range(len(a)), map(ne, a, b)), min(len(a), len(b)))
+    a, b = a[start:], b[start:]
+    end = next(compress(range(len(a)), map(ne, reversed(a), reversed(b))), min(len(a), len(b)))
+    return a[:len(a) - end], b[:len(b) - end]
 
 
 def align(gt: str, pred: str) -> list[EditOp]:
@@ -236,6 +248,13 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
 
     Samples are processed in sorted id order, so the report is identical
     for identical inputs.
+
+    Only the middle of a line between its common prefix and suffix with the
+    prediction is aligned.  The report equals that of whole lines: their
+    traceback takes the trailing matches, then the same steps (D[p+a][p+b]
+    under a prefix of length p is the trimmed D[a][b]) to the prefix, where
+    the cost left is the length difference, so only matches and deletions
+    (or insertions) of the same characters remain.
     """
     if treesim_scope not in ("all", "aligned"):
         raise ValueError(f"treesim_scope must be 'all' or 'aligned', got {treesim_scope!r}")
@@ -251,7 +270,6 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
 
     line_correct = 0
     ned_by_len: dict[int, int] = {}  # max(len) -> sum of (max(len) - distance)
-    matched: list[str] = []
     deleted: list[str] = []
     substituted: list[tuple[str, str]] = []
 
@@ -260,21 +278,21 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         pred_text = pred.get(sid, "")
         line_correct += gt_text == pred_text
         distance = 0
-        for kind, i, j in align(gt_text, pred_text):
-            if kind == MATCH:
-                matched.append(gt_text[i])
-                continue
-            distance += 1
-            if kind == SUBSTITUTE:
-                substituted.append((gt_text[i], pred_text[j]))
-            elif kind == DELETE:
-                deleted.append(gt_text[i])
+        if gt_text != pred_text:
+            gt_mid, pred_mid = _trim(gt_text, pred_text)
+            for kind, i, j in align(gt_mid, pred_mid):
+                if kind == SUBSTITUTE:
+                    substituted.append((gt_mid[i], pred_mid[j]))
+                elif kind == DELETE:
+                    deleted.append(gt_mid[i])
+                distance += kind != MATCH
         # Two empty strings have distance 0 and score 1.
         longest = max(len(gt_text), len(pred_text), 1)
         ned_by_len[longest] = ned_by_len.get(longest, 0) + longest - distance
 
-    matched_by_char = Counter(matched)
+    gt_chars = Counter("".join(gt.values()))
     deleted_by_char = Counter(deleted)
+    matched_by_char = gt_chars - deleted_by_char - Counter(g for g, _ in substituted)
     sub_ks: dict[str, Counter] = {}  # gt char -> the k of its substitutions' matched nodes
     for (gt_char, pred_char), times in Counter(substituted).items():
         ks = sub_ks.setdefault(gt_char, Counter())
@@ -284,7 +302,7 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
     total = _BucketAcc()
     rssl_acc = {name: _BucketAcc() for name in RSSL_BUCKETS}
     occn_acc = {name: _BucketAcc() for name in OCCN_BUCKETS} if occn is not None else None
-    for char, count in Counter("".join(gt.values())).items():
+    for char, count in gt_chars.items():
         tally = (count, matched_by_char[char], deleted_by_char[char], sub_ks.get(char))
         total.add(*tally)
         rssl_acc[bucket_rssl(len(table.tokens(char)), buckets)].add(*tally)

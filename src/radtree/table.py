@@ -11,17 +11,27 @@ from __future__ import annotations
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
-from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, to_preorder, validate_tree
+from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, validate_tree
+from .treesim import _subtree_ends
+
+
+def _shape(seen: dict, tokens: tuple[str, ...], counts: tuple[int, ...]) -> tuple:
+    """``(counts, subtree ends)``, one per distinct shape in ``seen``, checked when new."""
+    shape = seen.get(counts)
+    if shape is None:
+        check_sequence(tokens, counts)
+        shape = seen[counts] = counts, _subtree_ends(counts)
+    return shape
 
 
 class DecompositionTable:
     """Maps characters to radical trees.
 
-    Each entry is kept as its preorder token tuple, checked against the
-    arities when the table is made; a character's tree is built from its
-    tokens on its first lookup and then kept.  Code that needs only the
-    tokens (save, the inventory, rssl) reads ``tokens()``, and similarity,
-    weights and export read ``_preorder()``; neither builds a tree.
+    Each entry is kept as its preorder token tuple and its shape (child
+    counts and subtree ends, checked and computed once per distinct shape and
+    shared).  A character's tree is built on its first lookup and then kept.
+    ``tokens()`` serves save, the inventory and rssl; similarity, weights and
+    export read ``_preorder()``; neither builds a tree.
 
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined
@@ -34,18 +44,21 @@ class DecompositionTable:
                  arities: ArityTable | None = None):
         self.arities = arities if arities is not None else ArityTable.default()
         self._trees = dict(entries) if entries else {}
+        self._entries, self._shapes, seen = {}, {}, {}
         for char, tree in self._trees.items():
             try:
                 validate_tree(tree, self.arities)
             except ValueError as exc:
                 raise ValueError(f"entry {char!r}: {exc}") from None
-        self._entries = {char: tuple(to_preorder(tree)) for char, tree in self._trees.items()}
+            tokens, counts = tree._shape()
+            self._entries[char], self._shapes[char] = tokens, _shape(seen, tokens, counts)
 
     @classmethod
     def load(cls, path, arities: ArityTable | None = None) -> DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry."""
         arities = arities if arities is not None else ArityTable.default()
         entries: dict[str, tuple[str, ...]] = {}
+        shapes, seen = {}, {}  # char -> shape, counts -> shape
         for lineno, line in numbered_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -57,14 +70,14 @@ class DecompositionTable:
             tokens = tuple(seq.split())
             if not tokens:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
-            try:
-                check_sequence(tokens, arities)
+            try:  # split() leaves no empty token, so an equal shape passes alike
+                shapes[char] = _shape(seen, tokens, arities.child_counts(tokens))
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
             entries[char] = tokens
         # check_sequence already enforced the arities that __init__ checks.
         table = cls.__new__(cls)
-        table.arities, table._entries, table._trees = arities, entries, {}
+        table.arities, table._entries, table._shapes, table._trees = arities, entries, shapes, {}
         return table
 
     def save(self, path) -> None:
@@ -86,17 +99,17 @@ class DecompositionTable:
             tokens = self._entries.get(char)
             if tokens is None:
                 return leaf(char)
-            tree = self._trees[char] = build_checked(tokens, self.arities)
+            tree = self._trees[char] = build_checked(tokens, self._shapes[char][0])
         return tree
 
     def tokens(self, char: str) -> tuple[str, ...]:
         """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""
         return self._entries.get(char) or (char,)
 
-    def _preorder(self, char: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """Preorder tokens and child counts; ``((char,), (0,))`` for a fallback leaf."""
+    def _preorder(self, char: str) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
+        """Preorder tokens, child counts, subtree ends; ``((char,), (0,), [1])`` if untabulated."""
         tokens = self._entries.get(char)
-        return (tokens, self.arities.child_counts(tokens)) if tokens else ((char,), (0,))
+        return (tokens, *self._shapes[char]) if tokens else ((char,), (0,), [1])
 
     def chars(self) -> list[str]:
         """Tabulated characters in entry (file) order."""

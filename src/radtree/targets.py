@@ -60,13 +60,13 @@ class RadicalVocab:
         return self._tokens
 
     def index(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise UnknownToken(f"token {token!r} is not in the vocabulary") from None
+        return self.encode((token,))[0]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.index(t) for t in tokens]
+        try:
+            return list(map(self._index.__getitem__, tokens))
+        except KeyError as exc:
+            raise UnknownToken(f"token {exc.args[0]!r} is not in the vocabulary") from None
 
     def save(self, path) -> None:
         """Write ``<token><TAB><index>`` lines in index order; ValueError first
@@ -128,7 +128,7 @@ def build_vocab(table: DecompositionTable, extra_tokens: Iterable[str] = ()) -> 
 
 
 def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
-    """Validate mode and lam = n/d once; return (symbols, child counts) -> per-node
+    """Validate mode and lam = n/d once; return a tree's preorder arrays -> per-node
     integer ratios (d*k + n, d*k) = 1 + lam/k for node weight 1/k.  Naive mode is lam = 0."""
     if mode not in ("naive", "treesim"):
         raise ValueError(f"mode must be 'naive' or 'treesim', got {mode!r}")
@@ -197,7 +197,7 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     records = []
     for char in chars:
-        tokens, shape = table._preorder(char)
+        tokens, shape, ends = table._preorder(char)
         need = len(tokens) + 1
         if need > max_len:
             raise SequenceTooLong(
@@ -209,7 +209,7 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
         weights = rows.get(shape)
         if weights is None:
             weights = rows[shape] = (
-                *(num / den for num, den in ratios((tokens, shape))), 1.0, *([0.0] * pad))
+                *(num / den for num, den in ratios((tokens, shape, ends))), 1.0, *([0.0] * pad))
         records.append(TargetRecord(char, tokens, indices, weights))
     return records
 

@@ -161,8 +161,8 @@ def leaf(symbol: str) -> RadicalTree:
     return RadicalTree(symbol)
 
 
-def check_sequence(tokens: Sequence[str], arities: ArityTable) -> None:
-    """Check that ``tokens`` is the preorder sequence of exactly one tree.
+def check_sequence(tokens: Sequence[str], counts: Sequence[int]) -> None:
+    """Check that ``tokens`` with child counts ``counts`` form exactly one tree.
 
     One pass counts the subtrees still open: a token with n children (0 for
     a radical) closes one and opens n.  Raises MalformedLine on an empty
@@ -170,7 +170,7 @@ def check_sequence(tokens: Sequence[str], arities: ArityTable) -> None:
     TrailingTokens if tokens remain after the root subtree closed.
     """
     open_subtrees = 1
-    for pos, n in enumerate(arities.child_counts(tokens)):
+    for pos, n in enumerate(counts):
         if not tokens[pos]:
             raise MalformedLine(f"empty token at position {pos}")
         open_subtrees += n - 1
@@ -186,14 +186,14 @@ def check_sequence(tokens: Sequence[str], arities: ArityTable) -> None:
     )
 
 
-def build_checked(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
-    """The tree of a sequence that check_sequence accepted.
+def build_checked(tokens: Sequence[str], counts: Sequence[int]) -> RadicalTree:
+    """The tree of a sequence that check_sequence accepted, given its child counts.
 
     Reads right to left, keeping the finished subtrees on a stack: a
     structure with n children takes the top n, the topmost as its first.
     """
     stack: list[RadicalTree] = []
-    for token, n in zip(reversed(tokens), reversed(arities.child_counts(tokens))):
+    for token, n in zip(reversed(tokens), reversed(counts)):
         if n:
             children = tuple(reversed(stack[-n:]))
             del stack[-n:]
@@ -208,8 +208,9 @@ def parse_sequence(tokens: Sequence[str], arities: ArityTable) -> RadicalTree:
 
     Raises the errors of check_sequence.
     """
-    check_sequence(tokens, arities)
-    return build_checked(tokens, arities)
+    counts = arities.child_counts(tokens)
+    check_sequence(tokens, counts)
+    return build_checked(tokens, counts)
 
 
 def iter_preorder(tree: RadicalTree) -> Iterator[RadicalTree]:

@@ -18,10 +18,10 @@ tree, so the score is the same no matter which tree supplies the weights.
 One walk, yielding the integer k of each matched node, computes both
 functions, the evaluation sums in metrics.py and the loss weights in
 targets.py; a tree's weights are those of its nodes matched against itself.
-It reads each tree as preorder arrays of symbols and child counts, pairs
-children left to right (the surplus of the longer list unpaired) and steps
-over a subtree by the index where it ends.  It keeps an explicit stack, so
-trees of any depth work.  Results are exact Fractions; float() them.
+It reads each tree as preorder arrays of symbols, child counts and subtree
+ends, pairs children left to right (the surplus of the longer list unpaired)
+and steps over a subtree by the index where it ends.  It keeps an explicit
+stack, so trees of any depth work.  Results are exact Fractions; float() them.
 """
 
 from __future__ import annotations
@@ -43,11 +43,16 @@ def _subtree_ends(counts: Sequence[int]) -> list[int]:
     return ends
 
 
+def _arrays(tree: RadicalTree) -> tuple:
+    """A tree's preorder symbols, child counts and subtree ends."""
+    symbols, counts = tree._shape()
+    return symbols, counts, _subtree_ends(counts)
+
+
 def _matched_denominators(a: tuple, b: tuple) -> Iterator[int]:
     """The k of the weight 1/k of each node of ``a`` that matches ``b``, in preorder,
-    each tree given as its preorder symbols and child counts; see RadicalTree._shape."""
-    (sym_a, cnt_a), (sym_b, cnt_b) = a, b
-    end_a, end_b = _subtree_ends(cnt_a), _subtree_ends(cnt_b)
+    each tree given as its preorder arrays; see _arrays and DecompositionTable._preorder."""
+    (sym_a, cnt_a, end_a), (sym_b, cnt_b, end_b) = a, b
     stack = [(0, 0, 1)]
     while stack:
         i, j, k = stack.pop()
@@ -66,13 +71,13 @@ def _matched_denominators(a: tuple, b: tuple) -> Iterator[int]:
 
 def tree_weights(tree: RadicalTree) -> list[Fraction]:
     """Per-node weights in preorder order; always sums to exactly 1."""
-    nodes = tree._shape()
+    nodes = _arrays(tree)
     return [Fraction(1, k) for k in _matched_denominators(nodes, nodes)]
 
 
 def tree_sim(a: RadicalTree, b: RadicalTree) -> Fraction:
     """Similarity in [0, 1] between two trees built over the same arity table."""
-    ks = _matched_denominators(a._shape(), b._shape())
+    ks = _matched_denominators(_arrays(a), _arrays(b))
     return sum((Fraction(1, k) for k in ks), Fraction(0))
 
 

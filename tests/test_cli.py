@@ -111,6 +111,22 @@ class TestWeights:
         assert out == ""
         assert err == f"radtree: error: lambda must be a finite number, got {float(lam)!r}\n"
 
+    @pytest.mark.parametrize("command", [
+        ("weights", "--char", "好"),
+        ("export-targets", "--from-table", "--max-len", "8"),
+    ])
+    @pytest.mark.parametrize("lam, message", [
+        ("-inf", "lambda must be a finite number, got -inf"),
+        ("-nan", "lambda must be a finite number, got nan"),
+        ("-Infinity", "lambda must be a finite number, got -inf"),
+        ("-1e3", "lambda must be >= 0"),
+    ])
+    def test_space_separated_negative_lambda_reaches_the_check(self, capsys, sample_table_path,
+                                                               command, lam, message):
+        # argparse alone would read these as options and fail with "expected one argument".
+        code, out, err = run(capsys, *command, "--lambda", lam, "--table", str(sample_table_path))
+        assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
+
     def test_malformed_lambda_from_environment_exits_2(self, monkeypatch):
         monkeypatch.setenv("RADTREE_LAMBDA", "heavy")
         with pytest.raises(SystemExit) as exc:

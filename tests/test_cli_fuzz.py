@@ -3,9 +3,10 @@
 Every run must exit 0, 2 (domain error) or 3 (I/O error), and a failing
 run must print exactly one line on stderr, never a traceback.  Some argv
 are also run a second time with a tail that argparse itself rejects (a bad
-int, an unknown flag, ``--lambda -inf``, a flag missing its value), which
-must exit 2 the same way.  Accepted ``--max-len`` values stay at or below
-10⁴ so padding stays small.
+int or float, an unknown flag, a flag missing its value), which must exit
+2 the same way.  Lambda values are passed space-separated, negative ones
+included.  Accepted ``--max-len`` values stay at or below 10⁴ so padding
+stays small.
 """
 
 import os
@@ -41,18 +42,18 @@ TABLES = ("p_table", "underflow", "trailing", "duplicate", "empty_key", "empty_s
 ARITIES = ("huge_arity", "empty_token_arity", "bad_arity", *ODD)
 CHARS = ("好", "@", "森", "x", "好妈", "")
 SEQS = ("⿰ A B", "⿰ A", "A B", "   ", "P a b", "⿲ A B C", "⿰  A B")
-LAMBDAS = ("1", "0", "0.5", "-1", "1e308", "nan", "inf", "-inf")
+LAMBDAS = ("1", "0", "0.5", "-1", "1e308", "nan", "inf", "-inf", "-nan", "-1e3", "-Infinity")
 RSSL_SPECS = ("4,7", "4", "a,b", ",", "7,4", "0,1", "1,2,3")
 OCCN_SPECS = ("100,50,20", "1,2", "x", "20,50,100", "0,0,0")
 MAX_LENS = (-3, -1, 0, 1, 3, 5, 8, 40, 10**4)
 # Appended to a generated argv, each makes argparse reject it.
-REJECTED_TAILS = (["--max-len", "x"], ["--no-such-flag"], ["--lambda", "-inf"], ["--mode"])
+REJECTED_TAILS = (["--max-len", "x"], ["--no-such-flag"], ["--lambda", "x"], ["--mode"])
 REJECTED = {
     "no-subcommand": [],
     "bad-int": ["export-targets", "--from-table", "--max-len", "x"],
     "missing-positional": ["treesim", "好"],
     "unknown-flag": ["stats", "--input", "labels.txt", "--no-such-flag"],
-    "lambda-minus-inf": ["weights", "--char", "好", "--lambda", "-inf"],  # read as an option
+    "lambda-not-a-number": ["weights", "--char", "好", "--lambda", "x"],
 }
 
 
@@ -104,7 +105,7 @@ def treesim_argv(rng, files):
 
 def weights_argv(rng, files):
     return ["weights", *common(rng, files), f"--char={rng.choice(CHARS)}",
-            "--mode", rng.choice(("naive", "treesim")), f"--lambda={rng.choice(LAMBDAS)}"]
+            "--mode", rng.choice(("naive", "treesim")), "--lambda", rng.choice(LAMBDAS)]
 
 
 def stats_argv(rng, files):
@@ -132,7 +133,7 @@ def eval_argv(rng, files):
 
 def export_argv(rng, files):
     argv = ["export-targets", *common(rng, files), f"--max-len={rng.choice(MAX_LENS)}",
-            "--mode", rng.choice(("naive", "treesim")), f"--lambda={rng.choice(LAMBDAS)}"]
+            "--mode", rng.choice(("naive", "treesim")), "--lambda", rng.choice(LAMBDAS)]
     roll = rng.random()
     if roll < 0.85:
         argv += ["--from-table"] if roll < 0.45 else [

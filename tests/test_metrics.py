@@ -334,6 +334,63 @@ class TestEvaluate:
             evaluate({"1": "a"}, {"1": "a"}, sample_table, treesim_scope="bogus")
 
 
+class TestTrimmedAlignment:
+    """evaluate aligns only the middle between a line's common prefix and suffix."""
+
+    CUTS = {"xx": "x", "abca": "aca", "aab": "ab", "好妈好": "好好", "林林": "林林森林",
+            "same": "same", "ab": "", "": "ab", "abab": "baba"}
+
+    @staticmethod
+    def recorded_align(monkeypatch):
+        calls = []
+
+        def recording(gt_text, pred_text):
+            calls.append((gt_text, pred_text))
+            return align(gt_text, pred_text)
+
+        monkeypatch.setattr("radtree.metrics.align", recording)
+        return calls
+
+    @staticmethod
+    def assert_trimmed(calls):
+        for gt_text, pred_text in calls:
+            assert gt_text != pred_text
+            if gt_text and pred_text:
+                assert gt_text[0] != pred_text[0] and gt_text[-1] != pred_text[-1]
+
+    def test_align_receives_only_the_middle(self, sample_table, monkeypatch):
+        calls = self.recorded_align(monkeypatch)
+        gt = {"aab": "aab", "cut": "xx", "equal": "好妈林", "mid": "abcXdef", "missing": "ab",
+              "rep": "abca"}
+        pred = {"aab": "ab", "cut": "x", "equal": "好妈林", "mid": "abcYYdef", "rep": "aca"}
+        report = evaluate(gt, pred, sample_table)
+        assert calls == [("a", ""), ("x", ""), ("X", "YY"), ("ab", ""), ("b", "")]
+        assert report.to_dict() == evaluate_oracle(gt, pred, sample_table)
+
+    @pytest.mark.parametrize("scope", ["all", "aligned"])
+    @pytest.mark.parametrize("with_occn", [False, True])
+    def test_matches_oracle_on_edited_shared_text(self, sample_table, monkeypatch, scope,
+                                                   with_occn):
+        # Few letters, so a cut often falls between repeats of one character.
+        alphabet = "好妈林森ab"
+        calls = self.recorded_align(monkeypatch)
+        rng = random.Random(113)
+        for _ in range(20):
+            shared = random_text(rng, alphabet, 24, 8)
+            gt, pred = {}, {}
+            for n in range(12):
+                gt[f"e{n}"] = edited(rng, shared, 0.05, alphabet)
+                pred[f"e{n}"] = edited(rng, gt[f"e{n}"], rng.choice((0.0, 0.05, 0.2)), alphabet)
+            for n, (gt_text, pred_text) in enumerate(self.CUTS.items()):
+                gt[f"c{n}"], pred[f"c{n}"] = shared + gt_text + shared, shared + pred_text + shared
+            gt["empty-prediction"], pred["empty-prediction"] = shared, ""
+            gt["missing"] = shared[::-1]
+            occn = {c: rng.randint(0, 150) for c in alphabet} if with_occn else None
+            report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
+        self.assert_trimmed(calls)
+
+
 class TestReadCorpusTsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "gt.tsv"

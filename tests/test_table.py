@@ -6,7 +6,9 @@ import pytest
 
 from helpers import parse_cases, parse_oracle, random_tree
 from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TableParseError
+from radtree.metrics import evaluate
 from radtree.table import DecompositionTable
+from radtree.targets import export_targets, radical_weights
 from radtree.tree import (
     ArityTable,
     RadicalTree,
@@ -16,6 +18,7 @@ from radtree.tree import (
     rssl,
     to_preorder,
 )
+from radtree.treesim import _subtree_ends as subtree_ends, char_sim
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
@@ -232,3 +235,97 @@ class TestRoundTrip:
         sample_table.save(p1)
         DecompositionTable.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestShapeCache:
+    """Child counts are stored per entry at load and subtree ends kept per shape."""
+
+    @staticmethod
+    def make_tables(tmp_path):
+        rng = random.Random(31)
+        trees = [random_tree(rng, max_depth=3) for _ in range(80)]
+        path = tmp_path / "random.tsv"
+        path.write_text("".join(f"{chr(0x4E00 + n)}\t{' '.join(to_preorder(tree))}\n"
+                                for n, tree in enumerate(trees)), encoding="utf-8")
+        return [DecompositionTable.load(SAMPLE_TABLE), DecompositionTable.load(path),
+                DecompositionTable({chr(0x4E00 + n): tree for n, tree in enumerate(trees)})]
+
+    @pytest.fixture
+    def tables(self, tmp_path):
+        return self.make_tables(tmp_path)
+
+    @pytest.fixture
+    def child_counts_calls(self, monkeypatch):
+        calls = []
+        original = ArityTable.child_counts
+
+        def counting(self, tokens):
+            calls.append(tuple(tokens))
+            return original(self, tokens)
+
+        monkeypatch.setattr(ArityTable, "child_counts", counting)
+        return calls
+
+    def use_every_entry(self, table):
+        chars = table.chars()
+        gt = {f"s{n}": "".join(chars[n:n + 5]) for n in range(len(chars))}
+        pred = {sid: text[::-1] for sid, text in gt.items()}
+        evaluate(gt, pred, table, occn={chars[0]: 3})
+        for a, b in zip(chars, chars[1:] + chars[:1]):
+            char_sim(a, b, table)
+        for char in chars:
+            radical_weights(char, table, "treesim")
+        export_targets(chars, table, max(len(table.tokens(c)) for c in chars) + 1, "treesim")
+
+    def test_load_computes_child_counts_once_per_entry(self, child_counts_calls):
+        table = DecompositionTable.load(SAMPLE_TABLE)
+        assert sorted(child_counts_calls) == sorted(table.tokens(c) for c in table.chars())
+
+    def test_readers_never_recompute_child_counts(self, tables, child_counts_calls):
+        for table in tables:
+            self.use_every_entry(table)
+        assert child_counts_calls == []
+
+    def test_subtree_ends_once_per_distinct_shape_per_table(self, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(counts):
+            seen.append(counts)
+            return subtree_ends(counts)
+
+        monkeypatch.setattr("radtree.table._subtree_ends", counting)
+        tables = self.make_tables(tmp_path)
+        for table in tables:
+            self.use_every_entry(table)
+            self.use_every_entry(table)
+        shapes = [{table._preorder(c)[1] for c in table.chars()} for table in tables]
+        assert sorted(seen) == sorted(counts for per_table in shapes for counts in per_table)
+
+    def test_equal_shapes_share_one_counts_tuple(self, tables):
+        for table in tables:
+            by_shape = {}
+            for char in table.chars():
+                tokens, counts, ends = table._preorder(char)
+                assert counts == table.arities.child_counts(tokens)
+                assert ends == subtree_ends(counts)
+                assert by_shape.setdefault(counts, counts) is counts
+            assert len(by_shape) < len(table)
+        assert tables[0]._preorder("好")[1] is tables[0]._preorder("林")[1]
+
+    def test_fallback_leaf_arrays(self, sample_table):
+        assert sample_table._preorder("@") == (("@",), (0,), [1])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("女 子 马", "2 token(s) left over at position 1 after the tree closed"),
+        ("⿰ ⿰ 木", "sequence ended at token 3 while a subtree was still incomplete"),
+        ("⿰ 木", "sequence ended at token 2 while a subtree was still incomplete"),
+    ])
+    def test_first_bad_line_reported_when_its_length_repeats(self, tmp_path, bad, message):
+        # Line 3 has as many tokens as the valid entries before it, but another shape.
+        text = f"好\t⿰ 女 子\n林\t⿰ 木 木\n妈\t{bad}\n国\t⿴ 囗 玉\n字\t{bad}\n"
+        path = write(tmp_path, text)
+        with pytest.raises(TableParseError) as caught:
+            DecompositionTable.load(path)
+        assert str(caught.value) == f"{path}:3: {message}"
+        with pytest.raises(type(caught.value.__cause__), match=f"^{re.escape(message)}$"):
+            parse_sequence(bad.split(), ArityTable.default())
