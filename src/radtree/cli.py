@@ -3,9 +3,8 @@
 Subcommands: parse, treesim, weights, stats, eval, export-targets; each
 takes only the flags it reads.  Outputs are deterministic JSON, JSON lines
 or (treesim) one number; ``--pretty`` indents JSON and, for eval, prints a
-human-readable summary table.  Every flag but the inputs and --max-len
-can also be set through the environment with a RADTREE_ prefix
-(RADTREE_TABLE, RADTREE_OUTPUT, ...).
+human-readable summary table.  Argv and the files it names are the only
+input: no environment variable is read.
 Exit codes: 0 success, 2 domain or parse error, 3 I/O error.
 """
 
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -29,14 +27,6 @@ from .treesim import char_sim
 
 # Every line break of str.splitlines, escaped: a failure prints one line.
 _BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(f"RADTREE_{name}", fallback)
-
-
-def _env_flag(name: str) -> bool:
-    return _env(name, "") not in ("", "0", "false", "no")
 
 
 def _single_char(text: str, what: str) -> str:
@@ -267,21 +257,22 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--table", default=_env("TABLE"),
-                        help="decomposition table TSV (env RADTREE_TABLE)")
-    common.add_argument("--arities", default=_env("ARITIES"),
+    common.add_argument("--table", help="decomposition table TSV")
+    common.add_argument("--arities",
                         help="arity table TSV overriding the built-in structure set")
-    common.add_argument("--output", "-o", default=_env("OUTPUT"),
-                        help="output path (default: stdout)")
+    common.add_argument("--output", "-o", help="output path (default: stdout)")
 
     pretty = argparse.ArgumentParser(add_help=False)
-    pretty.add_argument("--pretty", action="store_true", default=_env_flag("PRETTY"),
+    pretty.add_argument("--pretty", action="store_true",
                         help="indent JSON; eval also prints a summary table")
 
     rssl_buckets = argparse.ArgumentParser(add_help=False)
-    rssl_buckets.add_argument("--rssl-buckets", default=_env("RSSL_BUCKETS"),
-                              metavar="SIMPLE_MAX,COMPLEX_MIN",
+    rssl_buckets.add_argument("--rssl-buckets", metavar="SIMPLE_MAX,COMPLEX_MIN",
                               help="complexity bucket bounds, e.g. 4,7")
+
+    weighting = argparse.ArgumentParser(add_help=False)
+    weighting.add_argument("--mode", choices=("naive", "treesim"), default="treesim")
+    weighting.add_argument("--lambda", dest="lam", type=float, default=1.0)
 
     parser = _Parser(
         prog="radtree",
@@ -301,49 +292,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("char2")
     p.set_defaults(func=cmd_treesim)
 
-    p = sub.add_parser("weights", parents=[common, pretty],
+    p = sub.add_parser("weights", parents=[common, pretty, weighting],
                        help="per-position loss weights for one character")
     p.add_argument("--char", required=True)
-    p.add_argument("--mode", choices=("naive", "treesim"),
-                   default=_env("MODE", "treesim"))
-    p.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", "1"))
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("stats", parents=[common, pretty, rssl_buckets],
                        help="occurrence counts and complexity distribution of a corpus")
     p.add_argument("--input", required=True, help="label file")
-    p.add_argument("--input-format", choices=("plain", "tsv"),
-                   default=_env("INPUT_FORMAT", "plain"))
+    p.add_argument("--input-format", choices=("plain", "tsv"), default="plain")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval", parents=[common, pretty, rssl_buckets],
                        help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth TSV (<id><TAB><text>)")
     p.add_argument("--pred", required=True, help="prediction TSV (<id><TAB><text>)")
-    p.add_argument("--train", default=_env("TRAIN"),
-                   help="training label file; enables occn buckets")
-    p.add_argument("--train-format", choices=("plain", "tsv"),
-                   default=_env("TRAIN_FORMAT", "plain"))
-    p.add_argument("--treesim-scope", choices=("all", "aligned"),
-                   default=_env("TREESIM_SCOPE", "all"))
-    p.add_argument("--occn-buckets", default=_env("OCCN_BUCKETS"), metavar="HEAD,MID,LOW",
+    p.add_argument("--train", help="training label file; enables occn buckets")
+    p.add_argument("--train-format", choices=("plain", "tsv"), default="plain")
+    p.add_argument("--treesim-scope", choices=("all", "aligned"), default="all")
+    p.add_argument("--occn-buckets", metavar="HEAD,MID,LOW",
                    help="frequency bucket bounds, e.g. 100,50,20")
-    p.add_argument("--strict", action="store_true", default=_env_flag("STRICT"),
+    p.add_argument("--strict", action="store_true",
                    help="fail when a ground-truth id has no prediction")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export-targets", parents=[common],
+    p = sub.add_parser("export-targets", parents=[common, weighting],
                        help="emit per-character index/weight records as JSON lines")
     p.add_argument("--charset", help="file with one character per line")
     p.add_argument("--from-table", action="store_true",
                    help="use every tabulated character, in table order")
     p.add_argument("--max-len", type=int, required=True,
                    help="padded sequence length including the EOS slot")
-    p.add_argument("--mode", choices=("naive", "treesim"),
-                   default=_env("MODE", "treesim"))
-    p.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", "1"))
-    p.add_argument("--vocab-out", default=_env("VOCAB_OUT"),
-                   help="also write the vocabulary as <token><TAB><index>")
+    p.add_argument("--vocab-out", help="also write the vocabulary as <token><TAB><index>")
     p.set_defaults(func=cmd_export_targets)
 
     return parser

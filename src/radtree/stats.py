@@ -13,10 +13,7 @@ from .textio import numbered_lines, two_fields
 
 def count_occurrences(lines: Iterable[str]) -> Counter:
     """Count every Unicode scalar over all label lines, whitespace included."""
-    counts: Counter = Counter()
-    for line in lines:
-        counts.update(line)
-    return counts
+    return Counter("".join(lines))
 
 
 def rssl_distribution(chars: Iterable[str], table: DecompositionTable,

@@ -66,6 +66,8 @@ class ArityTable:
             if not line.strip() or line.startswith("#"):
                 continue
             token, text = two_fields(path, lineno, line, "<token><TAB><arity>")
+            if not token:
+                raise MalformedLine(f"{path}:{lineno}: empty structure token")
             try:
                 arity = int(text)
             except ValueError:

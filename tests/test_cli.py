@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from pathlib import Path
 
@@ -126,12 +127,6 @@ class TestWeights:
         # argparse alone would read these as options and fail with "expected one argument".
         code, out, err = run(capsys, *command, "--lambda", lam, "--table", str(sample_table_path))
         assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
-
-    def test_malformed_lambda_from_environment_exits_2(self, monkeypatch):
-        monkeypatch.setenv("RADTREE_LAMBDA", "heavy")
-        with pytest.raises(SystemExit) as exc:
-            main(["weights", "--char", "好"])
-        assert exc.value.code == 2
 
 
 class TestStats:
@@ -278,14 +273,6 @@ class TestEval:
         assert out == ""
         assert err == f"radtree: error: {flag} expects {form}, got {spec!r}\n"
 
-    def test_malformed_bucket_spec_from_environment_exits_2(self, capsys, monkeypatch,
-                                                           eval_files):
-        gt, pred, _ = eval_files
-        monkeypatch.setenv("RADTREE_OCCN_BUCKETS", "1,2")
-        code, _, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred))
-        assert code == 2
-        assert err == "radtree: error: --occn-buckets expects HEAD,MID,LOW, got '1,2'\n"
-
 
 class TestExportTargets:
     def test_jsonl_and_vocab(self, capsys, tmp_path, sample_table_path):
@@ -427,11 +414,51 @@ class TestPlumbing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_env_table(self, capsys, monkeypatch, sample_table_path):
-        monkeypatch.setenv("RADTREE_TABLE", str(sample_table_path))
-        code, out, _ = run(capsys, "parse", "好")
-        assert code == 0
-        assert json.loads(out)["rssl"] == 3
+    # One argv that succeeds and one that fails per command; {name} is a file below.
+    @pytest.mark.parametrize("ok, bad", [
+        ("parse 好", "parse --seq ⿰"),
+        ("treesim 好 妈", "treesim 好 妈妈"),
+        ("weights --char 好", "weights --char 好 --lambda -1"),
+        ("stats --input {train} -o {out}", "stats --input {missing}"),
+        ("eval --gt {gt} --pred {pred} -o {out}",
+         "eval --gt {gt} --pred {pred} --train {train} --occn-buckets 1"),
+        ("export-targets --charset {charset} --max-len 8 -o {out}",
+         "export-targets --charset {charset} --from-table --max-len 8"),
+    ], ids=["parse", "treesim", "weights", "stats", "eval", "export-targets"])
+    def test_environment_is_not_read(self, capsys, monkeypatch, tmp_path, sample_table_path,
+                                     eval_files, ok, bad):
+        gt, pred, train = eval_files
+        gt.write_text("a\t好妈\nb\t林林\nc\t森\n", encoding="utf-8")  # c: no prediction
+        charset = tmp_path / "charset.txt"
+        charset.write_text("好\n@\n", encoding="utf-8")
+        files = dict(gt=gt, pred=pred, train=train, charset=charset,
+                     out=tmp_path / "out", missing=tmp_path / "missing.tsv")
+        env_paths = {name: tmp_path / f"env_{name}" for name in
+                     ("ARITIES", "OUTPUT", "TRAIN", "VOCAB_OUT")}
+        hostile = {name: str(path) for name, path in env_paths.items()}
+        hostile.update(TABLE=str(sample_table_path), PRETTY="1", RSSL_BUCKETS="9",
+                       MODE="bogus", LAMBDA="heavy", INPUT_FORMAT="tsv", TRAIN_FORMAT="tsv",
+                       TREESIM_SCOPE="aligned", OCCN_BUCKETS="1,2", STRICT="False")
+        assert len(hostile) == 14
+
+        def outcome(argv):
+            files["out"].unlink(missing_ok=True)
+            try:
+                code = main([arg.format(**files) for arg in argv.split()])
+            except SystemExit as exc:  # argparse rejected argv
+                code = exc.code
+            captured = capsys.readouterr()
+            out = files["out"].read_bytes() if files["out"].exists() else None
+            return code, captured.out, captured.err, out
+
+        for name in [n for n in os.environ if n.startswith("RADTREE_")]:
+            monkeypatch.delenv(name)
+        clean = [outcome(ok), outcome(bad)]
+        assert clean[0][0] == 0 and clean[1][0] != 0
+        for name, value in hostile.items():
+            monkeypatch.setenv(f"RADTREE_{name}", value)
+        assert [outcome(ok), outcome(bad)] == clean
+        assert [path for path in env_paths.values() if path.exists()] == []
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=ascii)
     def test_path_with_a_line_break_fails_in_one_line(self, capsys, tmp_path, brk):

@@ -9,7 +9,6 @@ included.  Accepted ``--max-len`` values stay at or below 10⁴ so padding
 stays small.
 """
 
-import os
 import random
 
 import pytest
@@ -168,9 +167,7 @@ def assert_one_line(err: str, argv) -> None:
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
-def test_exit_codes_and_one_line_errors(command, files, capsys, monkeypatch):
-    for name in [n for n in os.environ if n.startswith("RADTREE_")]:
-        monkeypatch.delenv(name)
+def test_exit_codes_and_one_line_errors(command, files, capsys):
     rng = random.Random(f"fuzz:{command}")
     reject = random.Random(f"reject:{command}")  # own stream: rng's argv stay as they were
     codes = set()

@@ -76,6 +76,12 @@ class TestArityTable:
         with pytest.raises(DuplicateEntry):
             ArityTable.from_file(path)
 
+    def test_from_file_names_the_line_of_an_empty_token(self, tmp_path):
+        path = tmp_path / "arities.tsv"
+        path.write_text("PAIR\t2\n\t2\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=r"arities\.tsv:2: empty structure token$"):
+            ArityTable.from_file(path)
+
 
 class TestParseSequence:
     def test_single_radical_is_its_own_tree(self, arities):
