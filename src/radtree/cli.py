@@ -21,7 +21,7 @@ from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
 from .targets import build_vocab, export_targets, jsonl_lines, radical_weights, write_targets_jsonl
 from .textio import numbered_lines, write_lines
-from .tree import ArityTable, parse_sequence, rssl, to_preorder
+from .tree import ArityTable, check_sequence
 from .treesim import char_sim
 
 
@@ -109,36 +109,31 @@ def _emit_json(args, payload) -> None:
     _write(args.output, [_json_text(payload, 2 if args.pretty else None) + "\n"])
 
 
-def _tree_json(tree, arities: ArityTable) -> dict:
-    def node_json(node) -> dict:
-        kind = "structure" if arities.is_structure(node.symbol) else "radical"
-        return {"symbol": node.symbol, "kind": kind}
-
-    root = node_json(tree)
-    stack = [(tree, root)]
-    while stack:
-        node, out = stack.pop()
-        if node.children:
-            out["children"] = [node_json(child) for child in node.children]
-            stack.extend(zip(node.children, out["children"]))
-    return root
+def _tree_json(tokens, counts, arities: ArityTable) -> dict:
+    """Nested node dicts of a checked preorder sequence, built right to left like build_checked."""
+    stack: list[dict] = []
+    for token, n in zip(reversed(tokens), reversed(counts)):
+        node = {"symbol": token, "kind": "structure" if token in arities else "radical"}
+        if n:
+            node["children"] = stack[-n:][::-1]
+            del stack[-n:]
+        stack.append(node)
+    return stack[0]
 
 
 def cmd_parse(args) -> int:
-    table = _load_table(args)
     if bool(args.char) == bool(args.seq):
         raise RadtreeError("give exactly one of CHAR or --seq")
+    table = _load_table(args)
     if args.seq:
-        tree = parse_sequence(args.seq.split(), table.arities)
+        tokens = args.seq.split()
+        counts = table.arities.child_counts(tokens)
+        check_sequence(tokens, counts)
         payload = {}
     else:
-        tree = table.lookup(_single_char(args.char, "CHAR"))
+        tokens, counts, _ = table._preorder(_single_char(args.char, "CHAR"))
         payload = {"char": args.char}
-    payload.update(
-        tokens=to_preorder(tree),
-        rssl=rssl(tree),
-        tree=_tree_json(tree, table.arities),
-    )
+    payload.update(tokens=tokens, rssl=len(tokens), tree=_tree_json(tokens, counts, table.arities))
     _emit_json(args, payload)
     return 0
 
@@ -228,9 +223,9 @@ def _read_charset(path) -> list[str]:
 
 
 def cmd_export_targets(args) -> int:
-    table = _load_table(args)
     if bool(args.charset) == bool(args.from_table):
         raise RadtreeError("give exactly one of --charset or --from-table")
+    table = _load_table(args)
     chars = table.chars() if args.from_table else _read_charset(args.charset)
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     records = export_targets(chars, table, max_len=args.max_len,

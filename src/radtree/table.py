@@ -29,9 +29,10 @@ class DecompositionTable:
 
     Each entry is kept as its preorder token tuple and its shape (child
     counts and subtree ends, checked and computed once per distinct shape and
-    shared).  A character's tree is built on its first lookup and then kept.
-    ``tokens()`` serves save, the inventory and rssl; similarity, weights and
-    export read ``_preorder()``; neither builds a tree.
+    shared); ``load`` fills these two dicts of an empty table line by line.
+    A character's tree is built on its first lookup and then kept.
+    ``tokens()`` serves save, the inventory and rssl; similarity, weights,
+    export and the CLI's ``parse`` read ``_preorder()``; neither builds a tree.
 
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined
@@ -56,9 +57,8 @@ class DecompositionTable:
     @classmethod
     def load(cls, path, arities: ArityTable | None = None) -> DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry."""
-        arities = arities if arities is not None else ArityTable.default()
-        entries: dict[str, tuple[str, ...]] = {}
-        shapes, seen = {}, {}  # char -> shape, counts -> shape
+        table = cls(arities=arities)
+        entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
         for lineno, line in numbered_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -71,13 +71,10 @@ class DecompositionTable:
             if not tokens:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
             try:  # split() leaves no empty token, so an equal shape passes alike
-                shapes[char] = _shape(seen, tokens, arities.child_counts(tokens))
+                shapes[char] = _shape(seen, tokens, table.arities.child_counts(tokens))
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
             entries[char] = tokens
-        # check_sequence already enforced the arities that __init__ checks.
-        table = cls.__new__(cls)
-        table.arities, table._entries, table._shapes, table._trees = arities, entries, shapes, {}
         return table
 
     def save(self, path) -> None:

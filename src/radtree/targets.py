@@ -250,17 +250,24 @@ def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:
     each summing to 1 within 1e-6.  Positions with zero weight cost
     nothing, so PAD rows are excluded by their weight alone.  ``reduction``
     "sum" adds the weighted terms; "mean" divides by the number of
-    positions with positive weight.
+    positions with positive weight.  Ragged or non-numeric input and
+    non-integer targets raise ShapeMismatch, non-finite probabilities
+    InvalidDistribution, negative or non-finite weights ValueError.
     """
     if reduction not in ("sum", "mean"):
         raise ValueError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
     import numpy as np  # only this reference loss needs it; keeps CLI start-up light
 
-    p = np.asarray(prob_rows, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        p = np.asarray(prob_rows, dtype=np.float64)
+        t = np.asarray(targets)
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ShapeMismatch("prob_rows, targets or weights are ragged or not numeric") from None
     if t.ndim != 1 or w.ndim != 1:
         raise ShapeMismatch("targets and weights must be 1-D")
+    if t.size and t.dtype.kind not in "iu":
+        raise ShapeMismatch(f"targets must be integer indices, got dtype {t.dtype}")
     if p.size == 0 and t.size == 0 and w.size == 0:
         return 0.0
     if p.ndim != 2:
@@ -271,10 +278,11 @@ def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:
         )
     if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
         raise ShapeMismatch("target index out of range for the vocabulary axis")
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-        raise InvalidDistribution("every row must be a probability distribution (sum 1 within 1e-6)")
-    if np.any(w < 0):
-        raise ValueError("weights must be >= 0")
+    if not np.isfinite(p).all() or np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
+        raise InvalidDistribution(
+            "every row must be a probability distribution (finite, sum 1 within 1e-6)")
+    if not np.isfinite(w).all() or np.any(w < 0):
+        raise ValueError("weights must be finite and >= 0")
     mask = w > 0
     if not mask.any():
         return 0.0

@@ -235,18 +235,15 @@ def rssl(tree: RadicalTree) -> int:
 
 
 def validate_tree(tree: RadicalTree, arities: ArityTable) -> None:
-    """Check that every node's child count matches its symbol's kind.
+    """Check each node's child count against ``arities.child_counts`` (0 for a radical).
 
-    Raises ValueError on the first violation.
+    Raises ValueError at the first violation in preorder.
     """
-    for node in iter_preorder(tree):
-        if not node.symbol:
+    symbols, counts = tree._shape()
+    for symbol, n, want in zip(symbols, counts, arities.child_counts(symbols)):
+        if not symbol:
             raise ValueError("empty symbol")
-        if arities.is_structure(node.symbol):
-            want = arities.arity(node.symbol)
-            if len(node.children) != want:
-                raise ValueError(
-                    f"structure {node.symbol!r} has {len(node.children)} children, expected {want}"
-                )
-        elif node.children:
-            raise ValueError(f"radical {node.symbol!r} must be a leaf")
+        if n != want:
+            if want:
+                raise ValueError(f"structure {symbol!r} has {n} children, expected {want}")
+            raise ValueError(f"radical {symbol!r} must be a leaf")

@@ -6,7 +6,8 @@ similarity is scored by enumerating child-index paths and prefix-checking
 ancestors, with node weights derived from the closed-form product of
 1/(arity+1) along the root path; edit distance and alignment are the
 textbook full-matrix DP in plain Python; the evaluation report is rebuilt
-one ground-truth character at a time with Fraction sums.
+one ground-truth character at a time with Fraction sums; the output of
+``radtree parse`` is rebuilt by walking a RadicalTree node by node.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from radtree.cli import _json_text
 from radtree.errors import MalformedLine, TrailingTokens, Underflow
 from radtree.metrics import bucket_occn, bucket_rssl
 from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
@@ -88,6 +90,26 @@ ORACLE_ARITIES = (
     ArityTable({"T": 3, "P": 2}),
     ArityTable({"H": 10**18, "P": 2}),
 )
+
+
+def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None = None,
+                        pretty: bool = False) -> str:
+    """Stdout of ``radtree parse`` for ``tree``, built by walking the tree:
+    ``char`` is given for a table lookup and None for ``--seq``."""
+    def node_json(node) -> dict:
+        kind = "structure" if arities.is_structure(node.symbol) else "radical"
+        return {"symbol": node.symbol, "kind": kind}
+
+    root = node_json(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        if node.children:
+            out["children"] = [node_json(child) for child in node.children]
+            stack.extend(zip(node.children, out["children"]))
+    payload = {} if char is None else {"char": char}
+    payload.update(tokens=to_preorder(tree), rssl=rssl(tree), tree=root)
+    return _json_text(payload, 2 if pretty else None) + "\n"
 
 
 def random_sequence(rng: random.Random, arities: ArityTable, max_depth: int = 5,

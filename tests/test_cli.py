@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import parse_output_oracle, random_tree
 from radtree.cli import _json_text, main
+from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
@@ -51,6 +53,61 @@ class TestParse:
 
     def test_multichar_rejected(self, capsys):
         assert run(capsys, "parse", "好的")[0] == 2
+
+    def test_output_equals_the_tree_walk_oracle(self, capsys, tmp_path):
+        rng = random.Random(410)
+        pool = ['"', "\\", "A", "B", "é", "𠀀", "\x00"]
+        trees = [random_tree(rng, max_depth=5, leaf_pool=pool) for _ in range(60)]
+        chars = [chr(0x4E00 + i) for i in range(len(trees))]
+        path = tmp_path / "table.tsv"
+        path.write_text("".join(f"{c}\t{' '.join(to_preorder(t))}\n" for c, t in zip(chars, trees)),
+                        encoding="utf-8")
+        arities = ArityTable.default()
+        for char, tree in [*zip(chars, trees), ("@", leaf("@"))]:
+            for pretty in (False, True):
+                flags = ["--pretty"] if pretty else []
+                code, out, err = run(capsys, "parse", char, "--table", str(path), *flags)
+                assert (code, err) == (0, "")
+                assert out == parse_output_oracle(tree, arities, char, pretty)
+                code, out, err = run(capsys, "parse", "--seq", " ".join(to_preorder(tree)), *flags)
+                assert (code, err) == (0, "")
+                assert out == parse_output_oracle(tree, arities, pretty=pretty)
+
+    @pytest.mark.parametrize("depth, pretty", [(3000, False), (300, True)])
+    def test_deep_entry_equals_the_tree_walk_oracle(self, capsys, tmp_path, depth, pretty):
+        # The deep child alternates between first (⿰) and last (⿲) position.
+        tree = leaf("A")
+        for level in range(depth):
+            tree = (RadicalTree("⿰", (tree, leaf("B"))) if level % 2
+                    else RadicalTree("⿲", (leaf("C"), leaf("D"), tree)))
+        path = tmp_path / "deep.tsv"
+        path.write_text(f"X\t{' '.join(to_preorder(tree))}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "parse", "X", "--table", str(path),
+                           *(["--pretty"] if pretty else []))
+        assert code == 0
+        assert out == parse_output_oracle(tree, ArityTable.default(), "X", pretty)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_structure_symbol_without_table_is_a_structure_leaf(self, capsys, pretty):
+        code, out, _ = run(capsys, "parse", "⿰", *(["--pretty"] if pretty else []))
+        assert code == 0
+        assert out == parse_output_oracle(leaf("⿰"), ArityTable.default(), "⿰", pretty)
+        assert json.loads(out)["tree"] == {"symbol": "⿰", "kind": "structure"}
+
+    def test_builds_no_tree(self, capsys, monkeypatch, sample_table_path):
+        built = []
+        init = RadicalTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RadicalTree, "__init__", counting_init)
+        for argv in (["森"], ["@"], ["--seq", "⿰ A ⿲ B C D"]):
+            assert run(capsys, "parse", *argv, "--table", str(sample_table_path))[0] == 0
+        assert built == []
+        parse_sequence(["⿰", "A", "B"], ArityTable.default())
+        assert len(built) == 3
 
     def test_sequence_deeper_than_recursion_limit(self, capsys):
         depth = 3000
@@ -475,6 +532,22 @@ class TestPlumbing:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err == "radtree: error: unrecognized arguments: c\\nd\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse"], "give exactly one of CHAR or --seq"),
+        (["parse", "好", "--seq", "A"], "give exactly one of CHAR or --seq"),
+        (["export-targets", "--max-len", "8"], "give exactly one of --charset or --from-table"),
+        (["export-targets", "--max-len", "8", "--from-table", "--charset", "c.txt"],
+         "give exactly one of --charset or --from-table"),
+    ])
+    @pytest.mark.parametrize("table", ["missing", "underflow"])
+    def test_usage_is_checked_before_the_table_is_read(self, capsys, tmp_path, argv, message,
+                                                      table):
+        path = tmp_path / "table.tsv"
+        if table == "underflow":
+            path.write_text("好\t⿰ 女\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--table", str(path))
+        assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
 
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")

@@ -366,6 +366,33 @@ class TestWeightedCe:
         with pytest.raises(InvalidDistribution):
             weighted_ce([[1.5, -0.5]], [0], [1.0])
 
+    def test_non_finite_probabilities_refused(self):
+        with pytest.raises(InvalidDistribution):
+            weighted_ce([[math.nan, 1.0]], [1], [1.0])
+        with pytest.raises(InvalidDistribution):  # even in a zero-weight row
+            weighted_ce([[1.0, 0.0], [math.nan, math.nan]], [0, 1], [1.0, 0.0])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weights_refused(self, weight):
+        for row in ([0.5, 0.5], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                weighted_ce([row, [0.5, 0.5]], [0, 1], [weight, 1.0])
+
+    @pytest.mark.parametrize("targets", [[0.7], [0.0], np.array([1.0]), ["0"]])
+    def test_non_integer_targets_refused(self, targets):
+        with pytest.raises(ShapeMismatch):
+            weighted_ce([[0.5, 0.5]], targets, [1.0])
+
+    def test_empty_targets_stay_valid(self):
+        assert weighted_ce(np.zeros((0, 3)), [], []) == 0.0
+        assert weighted_ce([], np.array([], dtype=np.int64), np.array([])) == 0.0
+
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [1.0]], [["a", "b"]], [[0.5, 0.5], 1.0]])
+    def test_ragged_or_non_numeric_rows_refused(self, rows):
+        targets, weights = [0] * len(rows), [1.0] * len(rows)
+        with pytest.raises(ShapeMismatch):
+            weighted_ce(rows, targets, weights)
+
     def test_reduction_validation(self):
         with pytest.raises(ValueError):
             weighted_ce([[1.0]], [0], [1.0], reduction="median")

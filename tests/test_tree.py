@@ -215,6 +215,35 @@ class TestValidateTree:
         with pytest.raises(ValueError):
             validate_tree(RadicalTree("A", (leaf("B"), leaf("C"))), arities)
 
+    @pytest.mark.parametrize("tree, message", [
+        (leaf(""), "empty symbol"),
+        (RadicalTree("⿰", (leaf("A"),)), "structure '⿰' has 1 children, expected 2"),
+        (RadicalTree("⿲", (leaf("A"),) * 4), "structure '⿲' has 4 children, expected 3"),
+        (RadicalTree("A", (leaf("B"), leaf("C"))), "radical 'A' must be a leaf"),
+    ])
+    def test_messages(self, arities, tree, message):
+        with pytest.raises(ValueError) as info:
+            validate_tree(tree, arities)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("tree, message", [
+        (RadicalTree("⿰", (RadicalTree("A", (leaf("B"),)),)),
+         "structure '⿰' has 1 children, expected 2"),
+        (node("⿰", RadicalTree("A", (leaf("B"),)), RadicalTree("⿱", (leaf("C"),))),
+         "radical 'A' must be a leaf"),
+        (node("⿰", RadicalTree("⿱", (leaf("C"),)), RadicalTree("A", (leaf("B"),))),
+         "structure '⿱' has 1 children, expected 2"),
+        (node("⿰", leaf(""), RadicalTree("A", (leaf("B"),))), "empty symbol"),
+        (node("⿰", RadicalTree("A", (leaf("B"),)), leaf("")), "radical 'A' must be a leaf"),
+        (node("⿰", node("⿱", leaf("X"), RadicalTree("A", (leaf(""),))),
+              RadicalTree("⿲", (leaf("C"),))),
+         "radical 'A' must be a leaf"),
+    ])
+    def test_reports_the_first_violation_in_preorder(self, arities, tree, message):
+        with pytest.raises(ValueError) as info:
+            validate_tree(tree, arities)
+        assert str(info.value) == message
+
 
 # A plain frozen dataclass with RadicalTree's name and fields: its generated
 # __eq__, __hash__ and __repr__ are the recursive ones RadicalTree replaced.
