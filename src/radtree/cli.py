@@ -19,7 +19,7 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import build_vocab, export_targets, jsonl_lines, radical_weights, write_targets_jsonl
+from .targets import build_vocab, export_lines, radical_weights
 from .textio import numbered_lines, write_lines
 from .tree import ArityTable, check_sequence
 from .treesim import char_sim
@@ -61,43 +61,6 @@ def _bucket_spec(args) -> BucketSpec:
     return BucketSpec(**kwargs)
 
 
-def _json_text(value, indent: int | None) -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=indent)`` for dicts
-    with str keys, lists, tuples and scalars, without recursion: a parsed
-    tree may nest deeper than the interpreter's recursion limit."""
-    out: list[str] = []
-    todo: list[tuple] = [(value, 0)]  # (value, depth), or (literal text, None)
-    while todo:
-        item, depth = todo.pop()
-        if depth is None:
-            out.append(item)
-            continue
-        if isinstance(item, dict):
-            entries = [(json.dumps(key, ensure_ascii=False) + ": ", v) for key, v in item.items()]
-            brackets = "{}"
-        elif isinstance(item, (list, tuple)):
-            entries = [("", v) for v in item]
-            brackets = "[]"
-        else:
-            out.append(json.dumps(item, ensure_ascii=False))
-            continue
-        if not entries:
-            out.append(brackets)
-            continue
-        if indent is None:
-            first, sep, last = "", ", ", ""
-        else:
-            first = "\n" + " " * (indent * (depth + 1))
-            sep, last = "," + first, "\n" + " " * (indent * depth)
-        pieces: list[tuple] = [(brackets[0] + first, None)]
-        for n, (prefix, v) in enumerate(entries):
-            pieces.append(((sep if n else "") + prefix, None))
-            pieces.append((v, depth + 1))
-        pieces.append((last + brackets[1], None))
-        todo.extend(reversed(pieces))
-    return "".join(out)
-
-
 def _write(path, lines) -> None:
     if path:
         write_lines(path, lines)
@@ -106,24 +69,42 @@ def _write(path, lines) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    _write(args.output, [_json_text(payload, 2 if args.pretty else None) + "\n"])
+    indent = 2 if args.pretty else None
+    _write(args.output, [json.dumps(payload, ensure_ascii=False, indent=indent) + "\n"])
 
 
-def _tree_json(tokens, counts, arities: ArityTable) -> dict:
-    """Nested node dicts of a checked preorder sequence, built right to left like build_checked."""
-    stack: list[dict] = []
-    for token, n in zip(reversed(tokens), reversed(counts)):
-        node = {"symbol": token, "kind": "structure" if token in arities else "radical"}
+def _tree_text(tokens, counts, arities: ArityTable, indent: int | None) -> str:
+    """``json.dumps`` text, as a top-level key's value, of the nested node dicts
+    ``{"symbol", "kind"[, "children"]}`` of a checked preorder sequence, written
+    in one walk without recursion: a tree may nest past the recursion limit."""
+    def nl(depth: int) -> str:  # break before an item at ``depth``; compact: "" (sep ", ")
+        return "" if indent is None else "\n" + " " * (indent * depth)
+
+    out, open_nodes = [], []  # [children left to write, depth] per unfinished structure
+    for token, n in zip(tokens, counts):
+        depth = open_nodes[-1][1] + 2 if open_nodes else 1
+        kind = "structure" if token in arities else "radical"
+        out.append(f'{{{nl(depth + 1)}"symbol": {json.dumps(token, ensure_ascii=False)},'
+                   f'{nl(depth + 1) or " "}"kind": "{kind}"')
         if n:
-            node["children"] = stack[-n:][::-1]
-            del stack[-n:]
-        stack.append(node)
-    return stack[0]
+            out.append(f',{nl(depth + 1) or " "}"children": [{nl(depth + 2)}')
+            open_nodes.append([n, depth])
+            continue
+        out.append(nl(depth) + "}")
+        while open_nodes:  # close each structure whose last child just closed
+            open_nodes[-1][0] -= 1
+            if open_nodes[-1][0]:
+                out.append("," + (nl(open_nodes[-1][1] + 2) or " "))
+                break
+            depth = open_nodes.pop()[1]
+            out.append(nl(depth + 1) + "]" + nl(depth) + "}")
+    return "".join(out)
 
 
 def cmd_parse(args) -> int:
     if bool(args.char) == bool(args.seq):
         raise RadtreeError("give exactly one of CHAR or --seq")
+    char = args.char and _single_char(args.char, "CHAR")
     table = _load_table(args)
     if args.seq:
         tokens = args.seq.split()
@@ -131,28 +112,25 @@ def cmd_parse(args) -> int:
         check_sequence(tokens, counts)
         payload = {}
     else:
-        tokens, counts, _ = table._preorder(_single_char(args.char, "CHAR"))
-        payload = {"char": args.char}
-    payload.update(tokens=tokens, rssl=len(tokens), tree=_tree_json(tokens, counts, table.arities))
-    _emit_json(args, payload)
+        tokens, counts, _ = table._preorder(char)
+        payload = {"char": char}
+    indent = 2 if args.pretty else None
+    payload.update(tokens=tokens, rssl=len(tokens), tree=None)  # "tree" last: its null is last
+    head, _, end = json.dumps(payload, ensure_ascii=False, indent=indent).rpartition("null")
+    _write(args.output, [head + _tree_text(tokens, counts, table.arities, indent) + end + "\n"])
     return 0
 
 
 def cmd_treesim(args) -> int:
-    table = _load_table(args)
-    score = char_sim(
-        _single_char(args.char1, "CHAR1"),
-        _single_char(args.char2, "CHAR2"),
-        table,
-    )
+    char1, char2 = _single_char(args.char1, "CHAR1"), _single_char(args.char2, "CHAR2")
+    score = char_sim(char1, char2, _load_table(args))
     _write(args.output, [f"{float(score):.12f}\n"])
     return 0
 
 
 def cmd_weights(args) -> int:
-    table = _load_table(args)
-    weights = radical_weights(_single_char(args.char, "--char"), table,
-                              mode=args.mode, lam=args.lam)
+    char = _single_char(args.char, "--char")
+    weights = radical_weights(char, _load_table(args), mode=args.mode, lam=args.lam)
     _emit_json(args, [float(w) for w in weights])
     return 0
 
@@ -228,14 +206,10 @@ def cmd_export_targets(args) -> int:
     table = _load_table(args)
     chars = table.chars() if args.from_table else _read_charset(args.charset)
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
-    records = export_targets(chars, table, max_len=args.max_len,
-                             mode=args.mode, lam=args.lam, vocab=vocab)
+    lines = export_lines(chars, table, args.max_len, args.mode, args.lam, vocab)
     if args.vocab_out:  # first: a vocabulary that cannot be saved stops all output
         vocab.save(args.vocab_out)
-    if args.output:
-        write_targets_jsonl(records, args.output)
-    else:
-        sys.stdout.writelines(jsonl_lines(records))
+    _write(args.output, lines)
     return 0
 
 

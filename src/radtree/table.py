@@ -48,10 +48,9 @@ class DecompositionTable:
         self._entries, self._shapes, seen = {}, {}, {}
         for char, tree in self._trees.items():
             try:
-                validate_tree(tree, self.arities)
+                tokens, counts = validate_tree(tree, self.arities)
             except ValueError as exc:
                 raise ValueError(f"entry {char!r}: {exc}") from None
-            tokens, counts = tree._shape()
             self._entries[char], self._shapes[char] = tokens, _shape(seen, tokens, counts)
 
     @classmethod

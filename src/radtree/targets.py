@@ -171,71 +171,93 @@ class TargetRecord:
         }
 
 
+# A record's JSON line: _HEAD of its encoded char, tokens and indices, then a
+# _TAIL of more indices and its weight row, made once per row and shared.
+_HEAD, _TAIL = '{"char": %s, "tokens": [%s], "indices": [%s', '%s], "weights": %s}\n'
+
+
 def export_targets(charset: Iterable[str], table: DecompositionTable,
                    max_len: int, mode: str, lam=1,
                    vocab: RadicalVocab | None = None) -> list[TargetRecord]:
-    """Build one TargetRecord per character, in charset order.
+    """Build one TargetRecord per character, in charset order, from _plan.
 
-    Every record's index and weight rows have length ``max_len`` (at most
-    MAX_LEN_LIMIT): data positions, one EOS (weight 1), then PAD (weight 0).
-    A character whose sequence plus EOS exceeds ``max_len`` raises
-    SequenceTooLong.  Without ``vocab``, one is built from the table plus the
-    fallback leaf tokens the charset needs.  Each data weight is num / den,
-    equal to float() of the radical_weights Fraction.
+    Every record's index and weight rows have length ``max_len``: data
+    positions, one EOS (weight 1), then PAD (weight 0).  Without ``vocab``,
+    one is built from the table plus the fallback leaf tokens the charset
+    needs.  Each data weight is num / den, equal to float() of the
+    radical_weights Fraction; records of one tree shape share one row.
+    """
+    plan, vocab = _plan(list(charset), table, max_len, mode, lam, vocab)
+    return [TargetRecord(char, tokens, (*vocab.encode(tokens), EOS_INDEX,
+                                        *[PAD_INDEX] * (len(row) - len(tokens) - 1)), row)
+            for char, tokens, (row, _) in plan]
 
-    A node's weight depends only on the child counts along its root path,
-    so the weight row depends only on the tree's shape (its child counts in
-    preorder): it is computed from the first character of each shape, and
-    records of one shape share that row.
+
+def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
+                 mode: str, lam, vocab: RadicalVocab) -> Iterator[str]:
+    """The lines of ``jsonl_lines(export_targets(...))``, streamed from the plan;
+    every check has passed before this returns, so a failure writes nothing."""
+    plan, _ = _plan(list(charset), table, max_len, mode, lam, vocab)
+    token_json = {token: encode_basestring(token) for token in vocab.tokens}
+    index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
+    return (_HEAD % (encode_basestring(char), ", ".join(map(token_json.__getitem__, tokens)),
+                     ", ".join(map(index_text.__getitem__, tokens))) + tail
+            for char, tokens, (_, tail) in plan)
+
+
+def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, lam,
+          vocab: RadicalVocab | None) -> tuple[list[tuple], RadicalVocab]:
+    """Check an export in full; return one ``(char, tokens, (row, tail))`` per
+    character, and the vocabulary.
+
+    Raises ValueError for a bad mode or lambda or ``max_len`` above
+    MAX_LEN_LIMIT, SequenceTooLong for a character whose sequence plus EOS
+    exceeds ``max_len``, UnknownToken for a token outside ``vocab``.  A
+    node's weight depends only on the child counts along its root path, so a
+    tree's shape decides its weight row (data weights, 1.0, 0.0 ...), its
+    length and so its line tail (the EOS/PAD indices and the row as JSON):
+    each is made and checked once per distinct shape.
     """
     ratios = _weight_ratios(mode, lam)
     if max_len > MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
-    chars = list(charset)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
-    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
-    records = []
+    known, dumps = set(vocab.tokens), json.JSONEncoder(ensure_ascii=False).encode
+    shapes: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
+    plan = []
     for char in chars:
-        tokens, shape, ends = table._preorder(char)
-        need = len(tokens) + 1
-        if need > max_len:
-            raise SequenceTooLong(
-                f"character {char!r} needs length {need} (rssl {len(tokens)} + EOS) "
-                f"but max_len is {max_len}"
-            )
-        pad = max_len - need
-        indices = (*vocab.encode(tokens), EOS_INDEX, *([PAD_INDEX] * pad))
-        weights = rows.get(shape)
-        if weights is None:
-            weights = rows[shape] = (
-                *(num / den for num, den in ratios((tokens, shape, ends))), 1.0, *([0.0] * pad))
-        records.append(TargetRecord(char, tokens, indices, weights))
-    return records
+        tokens, counts, ends = table._preorder(char)
+        entry = shapes.get(counts)
+        if entry is None:
+            pad = max_len - len(tokens) - 1
+            if pad < 0:
+                raise SequenceTooLong(f"character {char!r} needs length {len(tokens) + 1} "
+                                      f"(rssl {len(tokens)} + EOS) but max_len is {max_len}")
+            row = (*(num / den for num, den in ratios((tokens, counts, ends))), 1.0, *[0.0] * pad)
+            tail = _TAIL % (f", {EOS_INDEX}" + f", {PAD_INDEX}" * pad, dumps(row))
+            entry = shapes[counts] = row, tail
+        if not known.issuperset(tokens):
+            vocab.encode(tokens)  # raises UnknownToken for the first missing token
+        plan.append((char, tokens, entry))
+    return plan, vocab
 
 
 def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
     """Each record as ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
     plus a newline; floats use shortest round-trip decimals, so identical
-    inputs always produce identical bytes.  Index rows are ints, each distinct
-    tail after the data positions encoded once; a weight row object shared by
+    inputs always produce identical bytes.  A weight row object shared by
     several records is encoded once (keyed by identity, not equality, since
     0.0 == -0.0 and 1 == 1.0 encode differently)."""
     dumps = json.JSONEncoder(ensure_ascii=False).encode
-    rows: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its JSON)
-    tails: dict[tuple[int, ...], str] = {}  # index tail -> ", i" per index
+    tails: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its _TAIL)
     for record in records:
         row = record.weights
-        if id(row) not in rows:
-            rows[id(row)] = (row, dumps(row))
-        n = len(record.tokens)
-        tail = record.indices[n:]
-        if tail not in tails:
-            tails[tail] = "".join([f", {i}" for i in tail])
-        indices = (", ".join(map(str, record.indices[:n])) + tails[tail]).removeprefix(", ")
+        if id(row) not in tails:
+            tails[id(row)] = (row, _TAIL % ("", dumps(row)))
         tokens = ", ".join(map(encode_basestring, record.tokens))
-        yield (f'{{"char": {encode_basestring(record.char)}, "tokens": [{tokens}], '
-               f'"indices": [{indices}], "weights": {rows[id(row)][1]}}}\n')
+        yield (_HEAD % (encode_basestring(record.char), tokens, ", ".join(map(str, record.indices)))
+               + tails[id(row)][1])
 
 
 def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:

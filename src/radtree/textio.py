@@ -8,8 +8,11 @@ from .errors import MalformedLine
 
 
 def numbered_lines(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        yield from enumerate(map(str.rstrip, fh, repeat("\n")), 1)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from enumerate(map(str.rstrip, fh, repeat("\n")), 1)
+    except UnicodeDecodeError as exc:  # its offset counts from the chunk being decoded
+        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def two_fields(path, lineno: int, line: str, layout: str, maxsplit: int = -1) -> list[str]:

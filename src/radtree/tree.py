@@ -234,8 +234,9 @@ def rssl(tree: RadicalTree) -> int:
     return sum(1 for _ in iter_preorder(tree))
 
 
-def validate_tree(tree: RadicalTree, arities: ArityTable) -> None:
-    """Check each node's child count against ``arities.child_counts`` (0 for a radical).
+def validate_tree(tree: RadicalTree, arities: ArityTable) -> tuple:
+    """Check each node's child count against ``arities.child_counts`` (0 for a radical)
+    and return the tree's preorder symbols and child counts.
 
     Raises ValueError at the first violation in preorder.
     """
@@ -247,3 +248,4 @@ def validate_tree(tree: RadicalTree, arities: ArityTable) -> None:
             if want:
                 raise ValueError(f"structure {symbol!r} has {n} children, expected {want}")
             raise ValueError(f"radical {symbol!r} must be a leaf")
+    return symbols, counts

@@ -12,10 +12,10 @@ one ground-truth character at a time with Fraction sums; the output of
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
-from radtree.cli import _json_text
 from radtree.errors import MalformedLine, TrailingTokens, Underflow
 from radtree.metrics import bucket_occn, bucket_rssl
 from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
@@ -92,6 +92,43 @@ ORACLE_ARITIES = (
 )
 
 
+def json_text(value, indent: int | None) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=indent)`` for dicts
+    with str keys, lists, tuples and scalars, without recursion: a parsed
+    tree may nest deeper than the interpreter's recursion limit."""
+    out: list[str] = []
+    todo: list[tuple] = [(value, 0)]  # (value, depth), or (literal text, None)
+    while todo:
+        item, depth = todo.pop()
+        if depth is None:
+            out.append(item)
+            continue
+        if isinstance(item, dict):
+            entries = [(json.dumps(key, ensure_ascii=False) + ": ", v) for key, v in item.items()]
+            brackets = "{}"
+        elif isinstance(item, (list, tuple)):
+            entries = [("", v) for v in item]
+            brackets = "[]"
+        else:
+            out.append(json.dumps(item, ensure_ascii=False))
+            continue
+        if not entries:
+            out.append(brackets)
+            continue
+        if indent is None:
+            first, sep, last = "", ", ", ""
+        else:
+            first = "\n" + " " * (indent * (depth + 1))
+            sep, last = "," + first, "\n" + " " * (indent * depth)
+        pieces: list[tuple] = [(brackets[0] + first, None)]
+        for n, (prefix, v) in enumerate(entries):
+            pieces.append(((sep if n else "") + prefix, None))
+            pieces.append((v, depth + 1))
+        pieces.append((last + brackets[1], None))
+        todo.extend(reversed(pieces))
+    return "".join(out)
+
+
 def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None = None,
                         pretty: bool = False) -> str:
     """Stdout of ``radtree parse`` for ``tree``, built by walking the tree:
@@ -109,7 +146,7 @@ def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None
             stack.extend(zip(node.children, out["children"]))
     payload = {} if char is None else {"char": char}
     payload.update(tokens=to_preorder(tree), rssl=rssl(tree), tree=root)
-    return _json_text(payload, 2 if pretty else None) + "\n"
+    return json_text(payload, 2 if pretty else None) + "\n"
 
 
 def random_sequence(rng: random.Random, arities: ArityTable, max_depth: int = 5,

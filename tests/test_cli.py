@@ -1,12 +1,16 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import parse_output_oracle, random_tree
-from radtree.cli import _json_text, main
+from helpers import json_text, parse_output_oracle, random_tree
+from radtree.cli import main
+from radtree.table import DecompositionTable
+from radtree.targets import export_targets, jsonl_lines
 from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
@@ -401,6 +405,65 @@ class TestExportTargets:
         for line in out.splitlines():
             assert len(json.loads(line)["indices"]) == 33
 
+    # The rows of test_targets.TestShapeRows, plus an astral radical.
+    SHAPE_ROWS = {"甲": "⿰ A B", "乙": "⿰ C D", "丙": "⿰ A ⿱ B C", "丁": "⿱ ⿰ A B C",
+                  "戊": '⿱ " \\', "己": "口", "庚": "⿲ 𠀀 \\ A"}
+    # Untabulated characters that JSON escapes or that are astral, and repeats.
+    CHARSET = [*SHAPE_ROWS, "@", '"', "\\", " ", "𠀀", "甲", "@", "丙"]
+
+    @pytest.mark.parametrize("mode", ["naive", "treesim"])
+    @pytest.mark.parametrize("lam", ["1", "0.5"])
+    def test_output_equals_jsonl_lines_of_export_targets(self, capsys, tmp_path, mode, lam):
+        table_path, charset = tmp_path / "shapes.tsv", tmp_path / "charset.txt"
+        table_path.write_text("".join(f"{c}\t{seq}\n" for c, seq in self.SHAPE_ROWS.items()),
+                              encoding="utf-8")
+        charset.write_text("".join(f"{c}\n" for c in self.CHARSET), encoding="utf-8")
+        table = DecompositionTable.load(table_path)
+        expected = "".join(jsonl_lines(export_targets(self.CHARSET, table, 9, mode, float(lam))))
+        argv = ["export-targets", "--charset", str(charset), "--table", str(table_path),
+                "--max-len", "9", "--mode", mode, "--lambda", lam]
+        assert run(capsys, *argv) == (0, expected, "")
+        out_path = tmp_path / "targets.jsonl"
+        assert run(capsys, *argv, "-o", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode("utf-8")
+        assert len(expected.splitlines()) == len(self.CHARSET)
+
+    def test_too_long_in_the_middle_of_the_charset_writes_no_file(self, capsys, tmp_path,
+                                                                   sample_table_path):
+        charset = tmp_path / "charset.txt"
+        charset.write_text("好\n@\n森\n妈\n", encoding="utf-8")  # 森 needs 6, the others 4 or 2
+        out_path, vocab_path = tmp_path / "targets.jsonl", tmp_path / "vocab.tsv"
+        code, out, err = run(capsys, "export-targets", "--charset", str(charset),
+                             "--table", str(sample_table_path), "--max-len", "5",
+                             "-o", str(out_path), "--vocab-out", str(vocab_path))
+        assert (code, out) == (2, "")
+        assert err == ("radtree: error: character '森' needs length 6 (rssl 5 + EOS) "
+                       "but max_len is 5\n")
+        assert not out_path.exists() and not vocab_path.exists()
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        rng = random.Random(1103)
+        pool = [chr(0x4E00 + i) for i in range(300)] + ['"', "\\", "𠀀", "é"]
+        trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(300)]
+        table_path = tmp_path / "table.tsv"
+        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        charset = tmp_path / "charset.txt"
+        charset.write_text("".join(f"{chr(0x5000 + i)}\n@\n" for i in range(0, 300, 7)),
+                           encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        max_len = str(max(len(to_preorder(t)) for t in trees) + 1)
+        outputs = []
+        for seed in ("0", "1"):
+            out, vocab = tmp_path / f"targets{seed}.jsonl", tmp_path / f"vocab{seed}.tsv"
+            for source in (["--from-table"], ["--charset", str(charset)]):
+                env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+                subprocess.run([sys.executable, "-m", "radtree.cli", "export-targets", *source,
+                                "--table", str(table_path), "--max-len", max_len, "-o", str(out),
+                                "--vocab-out", str(vocab)], env=env, check=True)
+                outputs.append((out.read_bytes(), vocab.read_bytes()))
+        assert outputs[:2] == outputs[2:]
+        assert all(out and vocab for out, vocab in outputs)
+
 
 DEEP = 3000  # levels, past the interpreter's default recursion limit
 
@@ -549,6 +612,43 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv, "--table", str(path))
         assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["parse", "好的"], "CHAR must be a single character, got '好的'"),
+        (["treesim", "好好", "妈"], "CHAR1 must be a single character, got '好好'"),
+        (["treesim", "好", "妈妈"], "CHAR2 must be a single character, got '妈妈'"),
+        (["weights", "--char", "好好"], "--char must be a single character, got '好好'"),
+    ])
+    @pytest.mark.parametrize("table", ["missing", "underflow"])
+    def test_characters_are_checked_before_the_table_is_read(self, capsys, tmp_path, argv,
+                                                             message, table):
+        path = tmp_path / "table.tsv"
+        if table == "underflow":
+            path.write_text("好\t⿰ 女\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--table", str(path))
+        assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
+
+    @pytest.mark.parametrize("role, line", [("--table", "{}\t⿰ 女 子\n"), ("--charset", "{}\n"),
+                                            ("--gt", "{}\t好\n"), ("--pred", "{}\t好\n")])
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path, sample_table_path, role,
+                                            line):
+        # A cut-off character after the first 8 KiB, so in a later chunk of the decoder.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("".join(line.format(chr(0x4E00 + i)) for i in range(2000)).encode("utf-8")
+                        + b"\xe5\xa5\n")
+        good = tmp_path / "good.tsv"
+        good.write_text("a\t好\n", encoding="utf-8")
+        if role == "--table":
+            argv = ["export-targets", "--from-table", "--max-len", "8", f"--table={bad}"]
+        elif role == "--charset":
+            argv = ["export-targets", "--max-len", "8", f"--table={sample_table_path}",
+                    f"--charset={bad}"]
+        else:
+            gt, pred = (bad, good) if role == "--gt" else (good, bad)
+            argv = ["eval", f"--gt={gt}", f"--pred={pred}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"radtree: error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")
         assert code == 3
@@ -582,8 +682,8 @@ class TestPlumbing:
         for _ in range(500):
             payload = value(0)
             for indent in (None, 2):
-                assert _json_text(payload, indent) == json.dumps(payload, ensure_ascii=False,
-                                                                 indent=indent)
+                assert json_text(payload, indent) == json.dumps(payload, ensure_ascii=False,
+                                                                indent=indent)
 
     def test_output_flag_writes_file(self, capsys, tmp_path, sample_table_path):
         out_path = tmp_path / "tree.json"

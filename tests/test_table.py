@@ -312,6 +312,22 @@ class TestShapeCache:
             assert len(by_shape) < len(table)
         assert tables[0]._preorder("好")[1] is tables[0]._preorder("林")[1]
 
+    def test_constructor_walks_each_tree_once(self, monkeypatch):
+        rng = random.Random(37)
+        entries = {chr(0x4E00 + n): random_tree(rng, max_depth=4) for n in range(50)}
+        walked = []
+        shape = RadicalTree._shape
+
+        def counting(self):
+            walked.append(self)
+            return shape(self)
+
+        monkeypatch.setattr(RadicalTree, "_shape", counting)
+        table = DecompositionTable(entries)
+        assert list(map(id, walked)) == list(map(id, entries.values()))
+        assert {c: table._preorder(c)[:2] for c in entries} == {
+            c: shape(tree) for c, tree in entries.items()}
+
     def test_fallback_leaf_arrays(self, sample_table):
         assert sample_table._preorder("@") == (("@",), (0,), [1])
 

@@ -25,6 +25,7 @@ from radtree.targets import (
     RadicalVocab,
     TargetRecord,
     build_vocab,
+    export_lines,
     export_targets,
     jsonl_lines,
     radical_weights,
@@ -174,6 +175,14 @@ class TestExportTargets:
         vocab = build_vocab(sample_table)
         with pytest.raises(UnknownToken):
             export_targets(["@"], sample_table, 4, "naive", vocab=vocab)
+
+    def test_callers_vocab_lacking_a_tabulated_token(self, sample_table):
+        vocab = RadicalVocab(["⿰", "女", "马"])  # 好 is ⿰ 女 子
+        assert len(export_targets(["妈"], sample_table, 4, "naive", vocab=vocab)) == 1
+        with pytest.raises(UnknownToken, match="^token '子' is not in the vocabulary$"):
+            export_targets(["妈", "好", "妈"], sample_table, 4, "naive", vocab=vocab)
+        with pytest.raises(UnknownToken, match="^token '子' is not in the vocabulary$"):
+            export_lines(["妈", "好"], sample_table, 4, "naive", 1, vocab)
 
     def test_jsonl_round_trip(self, tmp_path, sample_table):
         records = export_targets(list("好妈@"), sample_table, 6, "treesim")

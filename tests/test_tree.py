@@ -207,6 +207,13 @@ class TestValidateTree:
     def test_accepts_valid(self, arities):
         validate_tree(node("⿰", leaf("A"), leaf("B")), arities)
 
+    def test_returns_the_preorder_symbols_and_child_counts(self, arities):
+        tree = node("⿰", leaf("A"), node("⿲", leaf("B"), leaf("C"), leaf("D")))
+        assert validate_tree(tree, arities) == (("⿰", "A", "⿲", "B", "C", "D"), (2, 0, 3, 0, 0, 0))
+        rng = random.Random(23)
+        for tree in (random_tree(rng, max_depth=4) for _ in range(50)):
+            assert validate_tree(tree, arities) == tree._shape()
+
     def test_rejects_wrong_child_count(self, arities):
         with pytest.raises(ValueError):
             validate_tree(RadicalTree("⿰", (leaf("A"),)), arities)
