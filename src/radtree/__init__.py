@@ -34,10 +34,10 @@ from .targets import (
     RadicalVocab,
     TargetRecord,
     build_vocab,
+    export_lines,
     export_targets,
     radical_weights,
     weighted_ce,
-    write_targets_jsonl,
 )
 from .tree import (
     ArityTable,
@@ -77,6 +77,7 @@ __all__ = [
     "char_sim",
     "count_occurrences",
     "evaluate",
+    "export_lines",
     "export_targets",
     "iter_preorder",
     "leaf",
@@ -93,5 +94,4 @@ __all__ = [
     "tree_weights",
     "validate_tree",
     "weighted_ce",
-    "write_targets_jsonl",
 ]

@@ -19,7 +19,7 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import build_vocab, export_lines, radical_weights
+from .targets import _export_ratios, _weight_ratios, build_vocab, export_lines, radical_weights
 from .textio import numbered_lines, write_lines
 from .tree import ArityTable, check_sequence
 from .treesim import char_sim
@@ -130,12 +130,14 @@ def cmd_treesim(args) -> int:
 
 def cmd_weights(args) -> int:
     char = _single_char(args.char, "--char")
+    _weight_ratios(args.mode, args.lam)  # before any file is read
     weights = radical_weights(char, _load_table(args), mode=args.mode, lam=args.lam)
     _emit_json(args, [float(w) for w in weights])
     return 0
 
 
 def cmd_stats(args) -> int:
+    buckets = _bucket_spec(args)
     table = _load_table(args)
     labels = read_labels(args.input, args.input_format)
     counts = count_occurrences(labels)
@@ -146,7 +148,7 @@ def cmd_stats(args) -> int:
         "char_total": sum(counts.values()),
         "distinct_chars": len(counts),
         "occn": {char: counts[char] for char in sorted(counts)},
-        "rssl_distribution": rssl_distribution(counts, table, _bucket_spec(args)),
+        "rssl_distribution": rssl_distribution(counts, table, buckets),
     }
     _emit_json(args, payload)
     return 0
@@ -171,16 +173,15 @@ def _print_summary(report: EvalReport) -> None:
 
 
 def cmd_eval(args) -> int:
+    buckets = _bucket_spec(args)
     table = _load_table(args)
     gt = read_corpus_tsv(args.gt)
     pred = read_corpus_tsv(args.pred)
-    occn = None
-    if args.train:
-        occn = count_occurrences(read_labels(args.train, args.train_format))
+    occn = count_occurrences(read_labels(args.train, args.train_format)) if args.train else None
     report = evaluate(
         gt, pred, table,
         occn=occn,
-        buckets=_bucket_spec(args),
+        buckets=buckets,
         strict=args.strict,
         treesim_scope=args.treesim_scope,
     )
@@ -203,6 +204,7 @@ def _read_charset(path) -> list[str]:
 def cmd_export_targets(args) -> int:
     if bool(args.charset) == bool(args.from_table):
         raise RadtreeError("give exactly one of --charset or --from-table")
+    _export_ratios(args.mode, args.lam, args.max_len)  # before any file is read
     table = _load_table(args)
     chars = table.chars() if args.from_table else _read_charset(args.charset)
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))

@@ -19,7 +19,7 @@ import json
 from json.encoder import encode_basestring
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DuplicateEntry,
@@ -142,6 +142,14 @@ def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
     return lambda tree: [(d * k + n, d * k) for k in _matched_denominators(tree, tree)]
 
 
+def _export_ratios(mode: str, lam, max_len: int) -> Callable[[tuple], list[tuple[int, int]]]:
+    """_weight_ratios(mode, lam), then ValueError for ``max_len`` above MAX_LEN_LIMIT."""
+    ratios = _weight_ratios(mode, lam)
+    if max_len > MAX_LEN_LIMIT:
+        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
+    return ratios
+
+
 def radical_weights(char: str, table: DecompositionTable, mode: str,
                     lam=1) -> list[Fraction]:
     """Per-position loss weights for a character's preorder sequence.
@@ -171,8 +179,7 @@ class TargetRecord:
         }
 
 
-# A record's JSON line: _HEAD of its encoded char, tokens and indices, then a
-# _TAIL of more indices and its weight row, made once per row and shared.
+# An export line: _HEAD (char, tokens, their indices), then its shape's _TAIL (EOS, PADs, weights).
 _HEAD, _TAIL = '{"char": %s, "tokens": [%s], "indices": [%s', '%s], "weights": %s}\n'
 
 
@@ -195,8 +202,9 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
 
 def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
                  mode: str, lam, vocab: RadicalVocab) -> Iterator[str]:
-    """The lines of ``jsonl_lines(export_targets(...))``, streamed from the plan;
-    every check has passed before this returns, so a failure writes nothing."""
+    """Per ``export_targets`` record, ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
+    and a newline, streamed from the plan; floats are shortest round-trip, so identical inputs
+    give identical bytes.  Every check passes before this returns: a failure writes nothing."""
     plan, _ = _plan(list(charset), table, max_len, mode, lam, vocab)
     token_json = {token: encode_basestring(token) for token in vocab.tokens}
     index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
@@ -210,17 +218,14 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
     """Check an export in full; return one ``(char, tokens, (row, tail))`` per
     character, and the vocabulary.
 
-    Raises ValueError for a bad mode or lambda or ``max_len`` above
-    MAX_LEN_LIMIT, SequenceTooLong for a character whose sequence plus EOS
-    exceeds ``max_len``, UnknownToken for a token outside ``vocab``.  A
-    node's weight depends only on the child counts along its root path, so a
-    tree's shape decides its weight row (data weights, 1.0, 0.0 ...), its
-    length and so its line tail (the EOS/PAD indices and the row as JSON):
-    each is made and checked once per distinct shape.
+    Raises as _export_ratios, then SequenceTooLong for a character whose
+    sequence plus EOS exceeds ``max_len``, UnknownToken for a token outside
+    ``vocab``.  A node's weight depends only on the child counts along its
+    root path, so a tree's shape decides its weight row (data weights, 1.0,
+    0.0 ...), its length and so its line tail (the EOS/PAD indices and the
+    row as JSON): each is made and checked once per distinct shape.
     """
-    ratios = _weight_ratios(mode, lam)
-    if max_len > MAX_LEN_LIMIT:
-        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
+    ratios = _export_ratios(mode, lam, max_len)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     known, dumps = set(vocab.tokens), json.JSONEncoder(ensure_ascii=False).encode
@@ -241,28 +246,6 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
             vocab.encode(tokens)  # raises UnknownToken for the first missing token
         plan.append((char, tokens, entry))
     return plan, vocab
-
-
-def jsonl_lines(records: Iterable[TargetRecord]) -> Iterator[str]:
-    """Each record as ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
-    plus a newline; floats use shortest round-trip decimals, so identical
-    inputs always produce identical bytes.  A weight row object shared by
-    several records is encoded once (keyed by identity, not equality, since
-    0.0 == -0.0 and 1 == 1.0 encode differently)."""
-    dumps = json.JSONEncoder(ensure_ascii=False).encode
-    tails: dict[int, tuple[tuple, str]] = {}  # id -> (row, kept alive; its _TAIL)
-    for record in records:
-        row = record.weights
-        if id(row) not in tails:
-            tails[id(row)] = (row, _TAIL % ("", dumps(row)))
-        tokens = ", ".join(map(encode_basestring, record.tokens))
-        yield (_HEAD % (encode_basestring(record.char), tokens, ", ".join(map(str, record.indices)))
-               + tails[id(row)][1])
-
-
-def write_targets_jsonl(records: Sequence[TargetRecord], path) -> None:
-    """Write jsonl_lines(records) to ``path``."""
-    write_lines(path, jsonl_lines(records))
 
 
 def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:

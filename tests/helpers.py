@@ -7,7 +7,8 @@ ancestors, with node weights derived from the closed-form product of
 1/(arity+1) along the root path; edit distance and alignment are the
 textbook full-matrix DP in plain Python; the evaluation report is rebuilt
 one ground-truth character at a time with Fraction sums; the output of
-``radtree parse`` is rebuilt by walking a RadicalTree node by node.
+``radtree parse`` is rebuilt by walking a RadicalTree node by node; export
+lines are ``json.dumps`` of each record's dict.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def json_text(value, indent: int | None) -> str:
         pieces.append((last + brackets[1], None))
         todo.extend(reversed(pieces))
     return "".join(out)
+
+
+def dumps_lines(records) -> str:
+    """The JSON lines of export records, one ``json.dumps`` call per record."""
+    return "".join(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n" for r in records)
 
 
 def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None = None,

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import json_text, parse_output_oracle, random_tree
+from helpers import dumps_lines, json_text, parse_output_oracle, random_tree
 from radtree.cli import main
 from radtree.table import DecompositionTable
-from radtree.targets import export_targets, jsonl_lines
+from radtree.targets import export_targets
 from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
@@ -413,13 +413,13 @@ class TestExportTargets:
 
     @pytest.mark.parametrize("mode", ["naive", "treesim"])
     @pytest.mark.parametrize("lam", ["1", "0.5"])
-    def test_output_equals_jsonl_lines_of_export_targets(self, capsys, tmp_path, mode, lam):
+    def test_output_equals_json_dumps_of_export_targets(self, capsys, tmp_path, mode, lam):
         table_path, charset = tmp_path / "shapes.tsv", tmp_path / "charset.txt"
         table_path.write_text("".join(f"{c}\t{seq}\n" for c, seq in self.SHAPE_ROWS.items()),
                               encoding="utf-8")
         charset.write_text("".join(f"{c}\n" for c in self.CHARSET), encoding="utf-8")
         table = DecompositionTable.load(table_path)
-        expected = "".join(jsonl_lines(export_targets(self.CHARSET, table, 9, mode, float(lam))))
+        expected = dumps_lines(export_targets(self.CHARSET, table, 9, mode, float(lam)))
         argv = ["export-targets", "--charset", str(charset), "--table", str(table_path),
                 "--max-len", "9", "--mode", mode, "--lambda", lam]
         assert run(capsys, *argv) == (0, expected, "")
@@ -602,6 +602,17 @@ class TestPlumbing:
         (["export-targets", "--max-len", "8"], "give exactly one of --charset or --from-table"),
         (["export-targets", "--max-len", "8", "--from-table", "--charset", "c.txt"],
          "give exactly one of --charset or --from-table"),
+        (["weights", "--char", "好", "--lambda", "-1"], "lambda must be >= 0"),
+        (["export-targets", "--from-table", "--max-len", "1000001"],
+         "max_len must be at most 1000000, got 1000001"),
+        (["export-targets", "--from-table", "--max-len", "5", "--lambda", "nan"],
+         "lambda must be a finite number, got nan"),
+        (["stats", "--input", "t.txt", "--rssl-buckets", "4"],
+         "--rssl-buckets expects SIMPLE_MAX,COMPLEX_MIN, got '4'"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--occn-buckets", "1"],
+         "--occn-buckets expects HEAD,MID,LOW, got '1'"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--rssl-buckets", "9,4"],
+         "need 1 <= rssl_simple_max < rssl_complex_min"),
     ])
     @pytest.mark.parametrize("table", ["missing", "underflow"])
     def test_usage_is_checked_before_the_table_is_read(self, capsys, tmp_path, argv, message,
@@ -648,6 +659,68 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"radtree: error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_eval_and_stats_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Substitutions between many distinct characters, tabulated or not, several
+        # missing ids and a training file that fills every occn bucket.
+        rng = random.Random(1109)
+        pool = [chr(0x4E00 + i) for i in range(40)] + ['"', "\\", "𠀀", "é"]
+        trees = [random_tree(rng, max_depth=3, leaf_pool=pool) for _ in range(120)]
+        table_path = tmp_path / "table.tsv"
+        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        alphabet = [chr(0x5000 + i) for i in range(120)] + list("@#")
+        gt, pred, train = tmp_path / "gt.tsv", tmp_path / "pred.tsv", tmp_path / "train.txt"
+        gt_lines, pred_lines = [], []
+        for n in range(200):
+            text = "".join(rng.choices(alphabet, k=rng.randint(1, 8)))
+            gt_lines.append(f"s{n}\t{text}\n")
+            if n % 17:  # every 17th id has no prediction
+                edited = [rng.choice(alphabet) if rng.random() < 0.3 else c for c in text]
+                pred_lines.append(f"s{n}\t{''.join(edited[:rng.randint(0, len(edited))])}\n")
+        gt.write_text("".join(gt_lines), encoding="utf-8")
+        pred.write_text("".join(pred_lines), encoding="utf-8")
+        train.write_text("".join(c * rng.randint(1, 12) + "\n" for c in alphabet),
+                         encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        commands = [
+            ["eval", "--gt", str(gt), "--pred", str(pred), "--train", str(train),
+             "--occn-buckets", "9,5,2", "--rssl-buckets", "3,6"],
+            ["stats", "--input", str(train), "--rssl-buckets", "3,6"],
+        ]
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            for command in commands:
+                out = tmp_path / f"{command[0]}{seed}.json"
+                subprocess.run([sys.executable, "-m", "radtree.cli", *command,
+                                "--table", str(table_path), "-o", str(out)], env=env, check=True)
+                outputs.append(out.read_bytes())
+        assert outputs[:2] == outputs[2:]
+        report = json.loads(outputs[0])
+        assert len(report["missing_ids"]) > 1 and 0 < report["mean_treesim"] < 1
+        assert all(row["count"] for row in report["occn_buckets"].values())
+
+    def test_no_subcommand_imports_numpy(self, tmp_path):
+        # numpy is imported only by targets.weighted_ce, which no subcommand calls.
+        gt = tmp_path / "gt.tsv"
+        gt.write_text("a\t好妈\nb\t林森\n", encoding="utf-8")
+        out, table = str(tmp_path / "out"), str(SAMPLE_TABLE)
+        commands = [
+            ["parse", "森"], ["treesim", "好", "妈"], ["weights", "--char", "森"],
+            ["stats", "--input", str(gt), "--input-format", "tsv"],
+            ["eval", "--gt", str(gt), "--pred", str(gt), "--train", str(gt)],
+            ["export-targets", "--from-table", "--max-len", "8", "--vocab-out", out + ".tsv"],
+        ]
+        script = ("import sys\n"
+                  "from radtree.cli import main\n"
+                  f"extra = ['--table', {table!r}, '-o', {out!r}]\n"
+                  f"codes = [main([*argv, *extra]) for argv in {commands!r}]\n"
+                  "print(codes, 'numpy' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout == "[0, 0, 0, 0, 0, 0] False\n"
 
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_tree
+from helpers import dumps_lines, random_tree
 from radtree.errors import (
     DuplicateEntry,
     InvalidDistribution,
@@ -23,15 +23,13 @@ from radtree.targets import (
     PAD_INDEX,
     PAD_TOKEN,
     RadicalVocab,
-    TargetRecord,
     build_vocab,
     export_lines,
     export_targets,
-    jsonl_lines,
     radical_weights,
     weighted_ce,
-    write_targets_jsonl,
 )
+from radtree.textio import write_lines
 from radtree.tree import parse_sequence, rssl, to_preorder
 from radtree.treesim import tree_weights
 
@@ -187,7 +185,8 @@ class TestExportTargets:
     def test_jsonl_round_trip(self, tmp_path, sample_table):
         records = export_targets(list("好妈@"), sample_table, 6, "treesim")
         path = tmp_path / "targets.jsonl"
-        write_targets_jsonl(records, path)
+        write_lines(path, export_lines(list("好妈@"), sample_table, 6, "treesim", 1,
+                                       build_vocab(sample_table, ["@"])))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         for record, line in zip(records, lines):
@@ -221,32 +220,11 @@ class TestExportTargets:
         assert export_targets(chars, table, max_len, "treesim", 0) == naive
 
     def test_jsonl_bytes_deterministic(self, tmp_path, sample_table):
-        records = export_targets(list("好妈@"), sample_table, 6, "treesim")
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_targets_jsonl(records, p1)
-        write_targets_jsonl(export_targets(list("好妈@"), sample_table, 6, "treesim"), p2)
+        for path in (p1, p2):
+            write_lines(path, export_lines(list("好妈@"), sample_table, 6, "treesim", 1,
+                                           build_vocab(sample_table, ["@"])))
         assert p1.read_bytes() == p2.read_bytes()
-
-
-def dumps_lines(records) -> bytes:
-    return "".join(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n"
-                   for r in records).encode("utf-8")
-
-
-def test_jsonl_lines_equal_json_dumps_on_hand_built_records():
-    # Index tails that are not EOS and PAD, repeating under other data, and
-    # a weight row object of its own per record.
-    rng = random.Random(211)
-    pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀", "<pad>", "é"]
-    floats = (0.0, -0.0, 1.0, 0.1, 1 / 3, 2.5e-300, 1e22, -7.0)
-    records = []
-    for _ in range(400):
-        tokens = tuple(rng.choices(pool, k=rng.randint(0, 5)))
-        indices = tuple(rng.choice((rng.randint(0, 3), rng.randint(-9, 10**20)))
-                        for _ in range(rng.randint(0, 8)))
-        weights = tuple(rng.choices(floats, k=rng.randint(0, 8)))
-        records.append(TargetRecord(rng.choice(pool), tokens, indices, weights))
-    assert "".join(jsonl_lines(records)).encode("utf-8") == dumps_lines(records)
 
 
 class TestShapeRows:
@@ -307,10 +285,11 @@ class TestShapeRows:
         max_len = max(rssl(t) for t in trees) + 3
         path = tmp_path / "out.jsonl"
         for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
+            vocab = build_vocab(tab, extra_tokens=[c for c in charset if c not in tab])
             for mode in ("naive", "treesim"):
                 records = export_targets(charset, tab, max_len, mode)
-                write_targets_jsonl(records, path)
-                assert path.read_bytes() == dumps_lines(records)
+                write_lines(path, export_lines(charset, tab, max_len, mode, 1, vocab))
+                assert path.read_bytes() == dumps_lines(records).encode("utf-8")
 
 
 class TestWeightedCe:

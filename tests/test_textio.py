@@ -18,7 +18,7 @@ from radtree.errors import MalformedLine
 from radtree.metrics import read_corpus_tsv
 from radtree.stats import read_labels
 from radtree.table import DecompositionTable
-from radtree.targets import RadicalVocab, build_vocab, write_targets_jsonl
+from radtree.targets import RadicalVocab, build_vocab
 from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence
 
 PACKAGE = Path(radtree.__file__).parent
@@ -143,7 +143,7 @@ def test_table_token_reloads_equal_or_is_refused(tmp_path, symbol):
 @pytest.mark.parametrize("path, error", [("", FileNotFoundError), (None, TypeError)])
 def test_writers_need_a_file_path(capsys, path, error):
     table = DecompositionTable({"好": parse_sequence(["⿰", "女", "子"], ArityTable.default())})
-    for save in (table.save, build_vocab(table).save, lambda p: write_targets_jsonl([], p)):
+    for save in (table.save, build_vocab(table).save):
         with pytest.raises(error):
             save(path)
     assert capsys.readouterr().out == ""
