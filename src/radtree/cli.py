@@ -174,10 +174,14 @@ def _print_summary(report: EvalReport) -> None:
 
 def cmd_eval(args) -> int:
     buckets = _bucket_spec(args)
+    for flag in ("--occn-buckets", "--train-format"):  # read only with a training file
+        if not args.train and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise RadtreeError(f"{flag} needs --train")
     table = _load_table(args)
     gt = read_corpus_tsv(args.gt)
     pred = read_corpus_tsv(args.pred)
-    occn = count_occurrences(read_labels(args.train, args.train_format)) if args.train else None
+    occn = (count_occurrences(read_labels(args.train, args.train_format or "plain"))
+            if args.train else None)
     report = evaluate(
         gt, pred, table,
         occn=occn,
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth TSV (<id><TAB><text>)")
     p.add_argument("--pred", required=True, help="prediction TSV (<id><TAB><text>)")
     p.add_argument("--train", help="training label file; enables occn buckets")
-    p.add_argument("--train-format", choices=("plain", "tsv"), default="plain")
+    p.add_argument("--train-format", choices=("plain", "tsv"), help="default: plain")
     p.add_argument("--treesim-scope", choices=("all", "aligned"), default="all")
     p.add_argument("--occn-buckets", metavar="HEAD,MID,LOW",
                    help="frequency bucket bounds, e.g. 100,50,20")

@@ -13,8 +13,8 @@ its common prefix and suffix with the prediction is aligned.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import ne
@@ -88,6 +88,8 @@ def one_minus_ned(gt: str, pred: str) -> float:
 def _trim(a: str, b: str) -> tuple[str, str]:
     """``a`` and ``b`` without their common prefix and suffix; iterators that run
     in C find the first unequal pair from either end."""
+    if a[:1] != b[:1] and a[-1:] != b[-1:]:  # nothing to cut, as on any one-char line
+        return a, b
     start = next(compress(range(len(a)), map(ne, a, b)), min(len(a), len(b)))
     a, b = a[start:], b[start:]
     end = next(compress(range(len(a)), map(ne, reversed(a), reversed(b))), min(len(a), len(b)))
@@ -180,21 +182,22 @@ def bucket_occn(count: int, spec: BucketSpec = DEFAULT_BUCKETS) -> str:
     return "tail"
 
 
+@dataclass
 class _BucketAcc:
-    __slots__ = ("count", "correct", "deleted", "sub_ks")
+    count: int = 0
+    substituted: int = 0
+    deleted: int = 0
+    sub_ks: Counter = field(default_factory=Counter)  # k -> matched nodes of weight 1/k
 
-    def __init__(self):
-        self.count = 0
-        self.correct = 0
-        self.deleted = 0
-        self.sub_ks: Counter = Counter()  # k -> matched nodes of weight 1/k in substitutions
+    @property
+    def correct(self) -> int:
+        return self.count - self.substituted - self.deleted
 
-    def add(self, count: int, correct: int, deleted: int, sub_ks: Counter | None) -> None:
-        self.count += count
-        self.correct += correct
-        self.deleted += deleted
-        if sub_ks:  # most characters have no substitutions
-            self.sub_ks.update(sub_ks)
+    def add(self, other: _BucketAcc) -> None:
+        self.count += other.count
+        self.substituted += other.substituted
+        self.deleted += other.deleted
+        self.sub_ks.update(other.sub_ks)
 
     def mean_treesim(self, scope: str) -> float | None:
         # Matches score 1 and deletions 0; "aligned" leaves deletions out.
@@ -254,7 +257,11 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
     traceback takes the trailing matches, then the same steps (D[p+a][p+b]
     under a prefix of length p is the trimmed D[a][b]) to the prefix, where
     the cost left is the length difference, so only matches and deletions
-    (or insertions) of the same characters remain.
+    (or insertions) of the same characters remain.  A middle with an empty side
+    is all deletions or all insertions; trimming leaves the two chars of a 1×1
+    one different, and one substitution (cost 1) beats a deletion plus an
+    insertion (2).  Counts are summed per cell, a gt char's (rssl, occn) buckets,
+    then per bucket: exact integer sums, equal in any order, feed the Fractions.
     """
     if treesim_scope not in ("all", "aligned"):
         raise ValueError(f"treesim_scope must be 'all' or 'aligned', got {treesim_scope!r}")
@@ -268,9 +275,15 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         shown = ", ".join(repr(m) for m in missing[:5])
         raise MissingId(f"{len(missing)} sample id(s) have no prediction: {shown}")
 
+    cells = defaultdict(_BucketAcc)  # (rssl bucket, occn bucket or None) -> tally
+    cell_of: dict[str, _BucketAcc] = {}  # gt char -> its cell
+    for char, count in Counter("".join(gt.values())).items():
+        occn_name = bucket_occn(occn.get(char, 0), buckets) if occn is not None else None
+        cell = cell_of[char] = cells[bucket_rssl(len(table.tokens(char)), buckets), occn_name]
+        cell.count += count
+
     line_correct = 0
     ned_by_len: dict[int, int] = {}  # max(len) -> sum of (max(len) - distance)
-    deleted: list[str] = []
     substituted: list[tuple[str, str]] = []
 
     for sid in ids:
@@ -280,34 +293,36 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         distance = 0
         if gt_text != pred_text:
             gt_mid, pred_mid = _trim(gt_text, pred_text)
-            for kind, i, j in align(gt_mid, pred_mid):
-                if kind == SUBSTITUTE:
-                    substituted.append((gt_mid[i], pred_mid[j]))
-                elif kind == DELETE:
-                    deleted.append(gt_mid[i])
-                distance += kind != MATCH
+            if not gt_mid or not pred_mid:  # only deletions, or only insertions
+                for char in gt_mid:
+                    cell_of[char].deleted += 1
+                distance = len(gt_mid) + len(pred_mid)
+            elif len(gt_mid) == len(pred_mid) == 1:  # _trim left two different chars
+                substituted.append((gt_mid, pred_mid))
+                distance = 1
+            else:
+                for kind, i, j in align(gt_mid, pred_mid):
+                    if kind == SUBSTITUTE:
+                        substituted.append((gt_mid[i], pred_mid[j]))
+                    elif kind == DELETE:
+                        cell_of[gt_mid[i]].deleted += 1
+                    distance += kind != MATCH
         # Two empty strings have distance 0 and score 1.
         longest = max(len(gt_text), len(pred_text), 1)
         ned_by_len[longest] = ned_by_len.get(longest, 0) + longest - distance
 
-    gt_chars = Counter("".join(gt.values()))
-    deleted_by_char = Counter(deleted)
-    matched_by_char = gt_chars - deleted_by_char - Counter(g for g, _ in substituted)
-    sub_ks: dict[str, Counter] = {}  # gt char -> the k of its substitutions' matched nodes
     for (gt_char, pred_char), times in Counter(substituted).items():
-        ks = sub_ks.setdefault(gt_char, Counter())
+        cell = cell_of[gt_char]
+        cell.substituted += times
         for k in _matched_denominators(table._preorder(gt_char), table._preorder(pred_char)):
-            ks[k] += times
+            cell.sub_ks[k] += times
 
     total = _BucketAcc()
     rssl_acc = {name: _BucketAcc() for name in RSSL_BUCKETS}
-    occn_acc = {name: _BucketAcc() for name in OCCN_BUCKETS} if occn is not None else None
-    for char, count in gt_chars.items():
-        tally = (count, matched_by_char[char], deleted_by_char[char], sub_ks.get(char))
-        total.add(*tally)
-        rssl_acc[bucket_rssl(len(table.tokens(char)), buckets)].add(*tally)
-        if occn_acc is not None:
-            occn_acc[bucket_occn(occn.get(char, 0), buckets)].add(*tally)
+    occn_acc = {name: _BucketAcc() for name in (*OCCN_BUCKETS, None)}  # None: no occn map
+    for (rssl_name, occn_name), cell in cells.items():
+        for acc in (total, rssl_acc[rssl_name], occn_acc[occn_name]):
+            acc.add(cell)
 
     n = len(ids)
     ned_sum = sum((Fraction(v, length) for length, v in ned_by_len.items()), Fraction(0))
@@ -323,8 +338,8 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         treesim_scope=treesim_scope,
         rssl_buckets={name: acc.as_dict(treesim_scope) for name, acc in rssl_acc.items()},
         occn_buckets=(
-            {name: acc.as_dict(treesim_scope) for name, acc in occn_acc.items()}
-            if occn_acc is not None else None
+            {name: occn_acc[name].as_dict(treesim_scope) for name in OCCN_BUCKETS}
+            if occn is not None else None
         ),
         missing_ids=missing,
     )

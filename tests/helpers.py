@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from radtree.errors import MalformedLine, TrailingTokens, Underflow
-from radtree.metrics import bucket_occn, bucket_rssl
+from radtree.metrics import DEFAULT_BUCKETS, BucketSpec, bucket_occn, bucket_rssl
 from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
 
 DEFAULT_ARITIES = ArityTable.default()
@@ -316,7 +316,7 @@ def brute_align(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
 
 
 def evaluate_oracle(gt: dict[str, str], pred: dict[str, str], table, occn=None,
-                    treesim_scope: str = "all") -> dict:
+                    treesim_scope: str = "all", buckets: BucketSpec = DEFAULT_BUCKETS) -> dict:
     """The evaluation report dict, one ground-truth character at a time.
 
     Each character adds its correctness and its Fraction similarity (1 for
@@ -346,9 +346,9 @@ def evaluate_oracle(gt: dict[str, str], pred: dict[str, str], table, occn=None,
                 sim = sim_oracle(table.lookup(char), table.lookup(p[pj]))
             else:
                 sim = Fraction(0) if treesim_scope == "all" else None
-            targets = [total, rssl_acc[bucket_rssl(rssl(table.lookup(char)))]]
+            targets = [total, rssl_acc[bucket_rssl(rssl(table.lookup(char)), buckets)]]
             if occn_acc is not None:
-                targets.append(occn_acc[bucket_occn(occn.get(char, 0))])
+                targets.append(occn_acc[bucket_occn(occn.get(char, 0), buckets)])
             for a in targets:
                 a["count"] += 1
                 a["correct"] += kind == "match"

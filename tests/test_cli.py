@@ -613,6 +613,10 @@ class TestPlumbing:
          "--occn-buckets expects HEAD,MID,LOW, got '1'"),
         (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--rssl-buckets", "9,4"],
          "need 1 <= rssl_simple_max < rssl_complex_min"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--occn-buckets", "100,50,20"],
+         "--occn-buckets needs --train"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--train-format", "plain"],
+         "--train-format needs --train"),
     ])
     @pytest.mark.parametrize("table", ["missing", "underflow"])
     def test_usage_is_checked_before_the_table_is_read(self, capsys, tmp_path, argv, message,

@@ -329,6 +329,40 @@ class TestEvaluate:
             report = evaluate(gt, pred, table, occn=occn, treesim_scope=scope)
             assert report.to_dict() == evaluate_oracle(gt, pred, table, occn, scope)
 
+    @pytest.mark.parametrize("scope", ["all", "aligned"])
+    def test_matches_oracle_on_one_char_corpora_with_custom_buckets(self, sample_table, scope):
+        # Single-character samples: equal, substituted, empty, missing, or
+        # predicted as 2-4 characters that may keep the gt character at an end;
+        # "x" and "y" are untabulated and "y" has no occn entry.
+        spec = BucketSpec(rssl_simple_max=2, rssl_complex_min=4, occn_head_min=30,
+                          occn_mid_min=20, occn_low_min=10)
+        alphabet = "好妈林森品字街国问这xy"
+        rng = random.Random(131)
+        for _ in range(20):
+            gt, pred = {}, {}
+            for n in range(40):
+                char = gt[f"s{n}"] = rng.choice(alphabet)
+                kind = rng.randrange(6)
+                if kind == 0:
+                    pred[f"s{n}"] = char
+                elif kind == 1:
+                    pred[f"s{n}"] = rng.choice(alphabet.replace(char, ""))
+                elif kind == 2:
+                    pred[f"s{n}"] = ""
+                elif kind == 4:
+                    extra = random_text(rng, alphabet, 3, 1)
+                    pred[f"s{n}"] = rng.choice((char + extra, extra + char))
+                elif kind == 5:
+                    pred[f"s{n}"] = random_text(rng, alphabet, 4, 2)
+            pred["not-in-gt"] = rng.choice(alphabet)
+            order = rng.sample(alphabet[:-1], len(alphabet) - 1)
+            occn = {c: (35, 25, 15, 5)[n % 4] for n, c in enumerate(order)}
+            report = evaluate(gt, pred, sample_table, occn=occn, buckets=spec,
+                              treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope, spec)
+            assert all(row["count"] for row in report.occn_buckets.values())
+            assert all(row["count"] for row in report.rssl_buckets.values())
+
     def test_scope_validation(self, sample_table):
         with pytest.raises(ValueError):
             evaluate({"1": "a"}, {"1": "a"}, sample_table, treesim_scope="bogus")
@@ -364,8 +398,23 @@ class TestTrimmedAlignment:
               "rep": "abca"}
         pred = {"aab": "ab", "cut": "x", "equal": "好妈林", "mid": "abcYYdef", "rep": "aca"}
         report = evaluate(gt, pred, sample_table)
-        assert calls == [("a", ""), ("x", ""), ("X", "YY"), ("ab", ""), ("b", "")]
+        assert calls == [("X", "YY")]  # the other middles have an empty side
         assert report.to_dict() == evaluate_oracle(gt, pred, sample_table)
+        self.assert_trimmed(calls)
+
+    def test_trivial_middles_are_not_aligned(self, sample_table, monkeypatch):
+        calls = self.recorded_align(monkeypatch)
+        gt = {"sub": "好", "sub2": "森", "empty": "林", "missing": "妈", "ins-after": "好",
+              "ins-before": "字", "ins-both": "x", "del": "好妈好", "mid-sub": "好x妈",
+              "mid-del": "好林林妈", "mid-ins": "国问", "untabulated": "y"}
+        pred = {"sub": "妈", "sub2": "品", "empty": "", "ins-after": "好妈林", "ins-before": "xy字",
+                "ins-both": "xx", "del": "好", "mid-sub": "好y妈", "mid-del": "好林妈",
+                "mid-ins": "国这这问", "untabulated": "z", "not-in-gt": "好"}
+        occn = {"好": 120, "妈": 60, "林": 30, "x": 5}
+        for scope in ("all", "aligned"):
+            report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
+        assert calls == []
 
     @pytest.mark.parametrize("scope", ["all", "aligned"])
     @pytest.mark.parametrize("with_occn", [False, True])
