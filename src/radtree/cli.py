@@ -36,8 +36,8 @@ def _single_char(text: str, what: str) -> str:
 
 
 def _load_table(args) -> DecompositionTable:
-    arities = ArityTable.from_file(args.arities) if args.arities else ArityTable.default()
-    if args.table:
+    arities = ArityTable.default() if args.arities is None else ArityTable.from_file(args.arities)
+    if args.table is not None:  # "" too is a path, and fails as one
         return DecompositionTable.load(args.table, arities)
     return DecompositionTable(arities=arities)
 
@@ -62,7 +62,7 @@ def _bucket_spec(args) -> BucketSpec:
 
 
 def _write(path, lines) -> None:
-    if path:
+    if path is not None:
         write_lines(path, lines)
     else:
         sys.stdout.writelines(lines)
@@ -175,13 +175,13 @@ def _print_summary(report: EvalReport) -> None:
 def cmd_eval(args) -> int:
     buckets = _bucket_spec(args)
     for flag in ("--occn-buckets", "--train-format"):  # read only with a training file
-        if not args.train and getattr(args, flag[2:].replace("-", "_")) is not None:
+        if args.train is None and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise RadtreeError(f"{flag} needs --train")
+    occn = (None if args.train is None else  # first: its labels are freed before the table loads
+            count_occurrences(read_labels(args.train, args.train_format or "plain")))
     table = _load_table(args)
     gt = read_corpus_tsv(args.gt)
     pred = read_corpus_tsv(args.pred)
-    occn = (count_occurrences(read_labels(args.train, args.train_format or "plain"))
-            if args.train else None)
     report = evaluate(
         gt, pred, table,
         occn=occn,
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
         treesim_scope=args.treesim_scope,
     )
     _emit_json(args, report.to_dict())
-    if args.pretty and args.output:
+    if args.pretty and args.output is not None:
         _print_summary(report)
     return 0
 
@@ -206,14 +206,14 @@ def _read_charset(path) -> list[str]:
 
 
 def cmd_export_targets(args) -> int:
-    if bool(args.charset) == bool(args.from_table):
+    if (args.charset is not None) == args.from_table:
         raise RadtreeError("give exactly one of --charset or --from-table")
     _export_ratios(args.mode, args.lam, args.max_len)  # before any file is read
     table = _load_table(args)
     chars = table.chars() if args.from_table else _read_charset(args.charset)
     vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
     lines = export_lines(chars, table, args.max_len, args.mode, args.lam, vocab)
-    if args.vocab_out:  # first: a vocabulary that cannot be saved stops all output
+    if args.vocab_out is not None:  # first: a vocabulary that cannot be saved stops all output
         vocab.save(args.vocab_out)
     _write(args.output, lines)
     return 0

@@ -29,7 +29,8 @@ class DecompositionTable:
 
     Each entry is kept as its preorder token tuple and its shape (child
     counts and subtree ends, checked and computed once per distinct shape and
-    shared); ``load`` fills these two dicts of an empty table line by line.
+    shared); ``load`` fills these two dicts of an empty table line by line
+    and stores each distinct token string once, shared by every entry.
     A character's tree is built on its first lookup and then kept.
     ``tokens()`` serves save, the inventory and rssl; similarity, weights,
     export and the CLI's ``parse`` read ``_preorder()``; neither builds a tree.
@@ -58,6 +59,7 @@ class DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry."""
         table = cls(arities=arities)
         entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
+        canon = {}  # token -> its first string, so a table holds one str per distinct token
         for lineno, line in numbered_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -66,7 +68,8 @@ class DecompositionTable:
                 raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
             if char in entries:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
-            tokens = tuple(seq.split())
+            parts = seq.split()
+            tokens = tuple(map(canon.setdefault, parts, parts))
             if not tokens:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
             try:  # split() leaves no empty token, so an equal shape passes alike

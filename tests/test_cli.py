@@ -642,6 +642,45 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv, "--table", str(path))
         assert (code, out, err) == (2, "", f"radtree: error: {message}\n")
 
+    # Each flag given "", an empty path: it fails to open like any other missing file.
+    @pytest.mark.parametrize("argv", [
+        ["treesim", "好", "妈", "--table", ""],
+        ["parse", "好", "--arities", ""],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "--train", ""],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "--train", "", "--occn-buckets", "3,2,1"],
+        ["export-targets", "--charset", "", "--max-len", "8"],
+        ["export-targets", "--from-table", "--max-len", "8", "--vocab-out", ""],
+        ["treesim", "好", "妈", "-o", ""],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "-o", ""],
+        ["export-targets", "--from-table", "--max-len", "8", "-o", ""],
+    ], ids=["table", "arities", "train", "train-occn-buckets", "charset", "vocab-out",
+            "output-treesim", "output-eval", "output-export-targets"])
+    def test_empty_path_is_a_missing_file(self, capsys, sample_table_path, eval_files, argv):
+        gt, pred, _ = eval_files
+        argv = [arg.format(gt=gt, pred=pred) for arg in argv]
+        if "--table" not in argv:
+            argv += ["--table", str(sample_table_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("radtree: io error: ") and err.endswith(" ''\n")
+        assert err.count("\n") == 1
+
+    def test_empty_charset_with_from_table_is_two_sources(self, capsys, sample_table_path):
+        code, out, err = run(capsys, "export-targets", "--charset", "", "--from-table",
+                             "--max-len", "8", "--table", str(sample_table_path))
+        assert (code, out, err) == (
+            2, "", "radtree: error: give exactly one of --charset or --from-table\n")
+
+    def test_eval_reads_the_training_labels_before_the_table(self, capsys, tmp_path, eval_files):
+        gt, pred, _ = eval_files
+        table, train = tmp_path / "table.tsv", tmp_path / "missing_train.txt"
+        table.write_text("好\t⿰ 女\n", encoding="utf-8")  # underflows
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                             "--train", str(train), "--table", str(table))
+        assert (code, out) == (3, "")
+        assert err.startswith("radtree: io error: ") and err.endswith(f"{str(train)!r}\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("role, line", [("--table", "{}\t⿰ 女 子\n"), ("--charset", "{}\n"),
                                             ("--gt", "{}\t好\n"), ("--pred", "{}\t好\n")])
     def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path, sample_table_path, role,

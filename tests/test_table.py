@@ -177,6 +177,31 @@ class TestTokenEntries:
                       for node in iter_preorder(table.lookup(char))}
             assert table.radical_inventory() == walked
 
+    def test_load_keeps_one_string_per_distinct_token(self, tmp_path):
+        rng = random.Random(23)
+        path = tmp_path / "random.tsv"
+        lines = [(chr(0x4E00 + n), to_preorder(random_tree(rng))) for n in range(200)]
+        path.write_text("".join(f"{char}\t{'  '.join(tokens)} \n" for char, tokens in lines),
+                        encoding="utf-8")
+        sample = [line.split("\t") for line in SAMPLE_TABLE.read_text("utf-8").splitlines()
+                  if not line.startswith("#")]
+        for source, entries in ((SAMPLE_TABLE, [(c, seq.split()) for c, seq in sample]),
+                                (path, lines)):
+            table, first, occurrences = DecompositionTable.load(source), {}, 0
+            for char, tokens in entries:
+                stored = table.tokens(char)
+                assert stored == tuple(tokens)
+                counts = table.arities.child_counts(stored)
+                assert table._preorder(char) == (stored, counts, subtree_ends(counts))
+                for token in stored:
+                    assert first.setdefault(token, token) is token
+                occurrences += len(stored)
+            assert occurrences > len(first)  # tokens repeat, so sharing is tested
+            saved = tmp_path / "saved.tsv"
+            table.save(saved)
+            assert saved.read_text(encoding="utf-8") == "".join(
+                f"{char}\t{' '.join(tokens)}\n" for char, tokens in entries)
+
     def test_constructor_keeps_the_callers_trees(self, arities):
         trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": leaf("A")}
         table = DecompositionTable(trees, arities)
