@@ -49,7 +49,7 @@ def _bucket_spec(args) -> BucketSpec:
         ("--occn-buckets", "HEAD,MID,LOW", ("occn_head_min", "occn_mid_min", "occn_low_min")),
     ):
         spec = getattr(args, flag[2:].replace("-", "_"), None)  # absent: not this command's flag
-        if not spec:
+        if spec is None:  # "" is a spec, and fails as one
             continue
         try:
             bounds = [int(x) for x in spec.split(",")]
@@ -102,11 +102,13 @@ def _tree_text(tokens, counts, arities: ArityTable, indent: int | None) -> str:
 
 
 def cmd_parse(args) -> int:
-    if bool(args.char) == bool(args.seq):
+    if (args.char is None) == (args.seq is None):
         raise RadtreeError("give exactly one of CHAR or --seq")
-    char = args.char and _single_char(args.char, "CHAR")
+    if args.seq is not None and not args.seq.split():
+        raise RadtreeError(f"--seq has no tokens, got {args.seq!r}")
+    char = None if args.char is None else _single_char(args.char, "CHAR")
     table = _load_table(args)
-    if args.seq:
+    if args.seq is not None:
         tokens = args.seq.split()
         counts = table.arities.child_counts(tokens)
         check_sequence(tokens, counts)

@@ -14,7 +14,6 @@ its common prefix and suffix with the prediction is aligned.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import ne
@@ -96,21 +95,21 @@ def _trim(a: str, b: str) -> tuple[str, str]:
     return a[:len(a) - end], b[:len(b) - end]
 
 
-def align(gt: str, pred: str) -> list[EditOp]:
-    """One optimal-cost alignment via traceback.
+def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
+    """The substitutions, deletions and insertions of align's traceback as
+    ``(kind, gt_index, pred_index)``, last first.
 
-    Ties at equal cost resolve match/substitute first, then delete, then
-    insert, so the result is deterministic.
+    The walk steps over matches without recording them and stops once the
+    distance left is 0, where only matches remain.
     """
     rows = _row_deltas(gt, pred)
     i, j = len(gt), len(pred)
     pv, mv = rows[i]
     d = i + pv.bit_count() - mv.bit_count()  # D[i][j], tracked along the walk
-    ops: list[EditOp] = []
-    while i > 0 and j > 0:
+    edits = []
+    while d and i and j:
         if gt[i - 1] == pred[j - 1]:
             # Neighbouring cells differ by at most 1, so a match is optimal.
-            ops.append(EditOp(MATCH, i - 1, j - 1))
             i -= 1
             j -= 1
             continue
@@ -119,40 +118,69 @@ def align(gt: str, pred: str) -> list[EditOp]:
         low = (1 << (j - 1)) - 1
         diag = i - 1 + (pv & low).bit_count() - (mv & low).bit_count()  # D[i-1][j-1]
         if diag == d:
-            ops.append(EditOp(SUBSTITUTE, i - 1, j - 1))
+            edits.append((SUBSTITUTE, i - 1, j - 1))
             i -= 1
             j -= 1
         elif diag + (pv >> (j - 1) & 1) - (mv >> (j - 1) & 1) == d:  # D[i-1][j]
-            ops.append(EditOp(DELETE, i - 1, None))
+            edits.append((DELETE, i - 1, None))
             i -= 1
         else:
-            ops.append(EditOp(INSERT, None, j - 1))
+            edits.append((INSERT, None, j - 1))
             j -= 1
-    ops.extend(EditOp(DELETE, k, None) for k in range(i - 1, -1, -1))
-    ops.extend(EditOp(INSERT, None, k) for k in range(j - 1, -1, -1))
-    ops.reverse()
+    if not j:  # the rest of gt, if any, is deleted
+        edits.extend((DELETE, k, None) for k in range(i - 1, -1, -1))
+    elif not i:
+        edits.extend((INSERT, None, k) for k in range(j - 1, -1, -1))
+    return edits
+
+
+def align(gt: str, pred: str) -> list[EditOp]:
+    """One optimal-cost alignment via traceback.
+
+    Ties at equal cost resolve match/substitute first, then delete, then
+    insert, so the result is deterministic.  The edits come from _edits; the
+    runs between them are matches.
+    """
+    ops: list[EditOp] = []
+    i = j = 0  # the next gt and pred positions
+    for kind, gt_index, pred_index in reversed(_edits(gt, pred)):
+        run = gt_index - i if gt_index is not None else pred_index - j
+        ops.extend(EditOp(MATCH, i + k, j + k) for k in range(run))
+        i += run + (kind != INSERT)
+        j += run + (kind != DELETE)
+        ops.append(EditOp(kind, gt_index, pred_index))
+    ops.extend(EditOp(MATCH, i + k, j + k) for k in range(len(gt) - i))
     return ops
 
 
-@dataclass(frozen=True)
-class BucketSpec:
-    """Boundaries for the complexity (rssl) and frequency (occn) breakdowns.
-
-    rssl: simple <= rssl_simple_max < sub_complex < rssl_complex_min <= complex.
-    occn: head >= occn_head_min > mid >= occn_mid_min > low >= occn_low_min > tail.
-    """
-
+class _BucketBounds(NamedTuple):
     rssl_simple_max: int = 4
     rssl_complex_min: int = 7
     occn_head_min: int = 100
     occn_mid_min: int = 50
     occn_low_min: int = 20
 
-    def __post_init__(self):
-        if not 1 <= self.rssl_simple_max < self.rssl_complex_min:
+
+class BucketSpec(_BucketBounds):
+    """Boundaries for the complexity (rssl) and frequency (occn) breakdowns.
+
+    rssl: simple <= rssl_simple_max < sub_complex < rssl_complex_min <= complex.
+    occn: head >= occn_head_min > mid >= occn_mid_min > low >= occn_low_min > tail.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if not 1 <= spec.rssl_simple_max < spec.rssl_complex_min:
             raise ValueError("need 1 <= rssl_simple_max < rssl_complex_min")
-        if not 0 < self.occn_low_min < self.occn_mid_min < self.occn_head_min:
+        if not 0 < spec.occn_low_min < spec.occn_mid_min < spec.occn_head_min:
             raise ValueError("need 0 < occn_low_min < occn_mid_min < occn_head_min")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable) -> BucketSpec:  # _replace builds through here: check it too
+        return cls(*iterable)
 
 
 DEFAULT_BUCKETS = BucketSpec()
@@ -182,12 +210,35 @@ def bucket_occn(count: int, spec: BucketSpec = DEFAULT_BUCKETS) -> str:
     return "tail"
 
 
-@dataclass
-class _BucketAcc:
-    count: int = 0
-    substituted: int = 0
-    deleted: int = 0
-    sub_ks: Counter = field(default_factory=Counter)  # k -> matched nodes of weight 1/k
+class _Record:
+    """A mutable record over its ``__slots__``, with the ``==`` and repr that
+    ``dataclasses`` would generate; unhashable, as it is mutable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _BucketAcc(_Record):
+    __slots__ = ("count", "substituted", "deleted", "sub_ks")
+
+    def __init__(self, count: int = 0, substituted: int = 0, deleted: int = 0,
+                 sub_ks: Counter | None = None):
+        self.count = count
+        self.substituted = substituted
+        self.deleted = deleted
+        self.sub_ks = Counter() if sub_ks is None else sub_ks  # k -> matched nodes of weight 1/k
 
     @property
     def correct(self) -> int:
@@ -214,25 +265,40 @@ class _BucketAcc:
         }
 
 
-@dataclass
-class EvalReport:
+class EvalReport(_Record):
     """Aggregate evaluation results; to_dict() gives the JSON layout."""
 
-    line_count: int
-    line_correct: int
-    line_accuracy: float
-    mean_one_minus_ned: float
-    char_count: int
-    char_correct: int
-    char_accuracy: float | None
-    mean_treesim: float | None
-    treesim_scope: str
-    rssl_buckets: dict[str, dict]
-    occn_buckets: dict[str, dict] | None
-    missing_ids: list[str]
+    __slots__ = ("line_count", "line_correct", "line_accuracy", "mean_one_minus_ned",
+                 "char_count", "char_correct", "char_accuracy", "mean_treesim",
+                 "treesim_scope", "rssl_buckets", "occn_buckets", "missing_ids")
+
+    def __init__(self, line_count: int, line_correct: int, line_accuracy: float,
+                 mean_one_minus_ned: float, char_count: int, char_correct: int,
+                 char_accuracy: float | None, mean_treesim: float | None,
+                 treesim_scope: str, rssl_buckets: dict[str, dict],
+                 occn_buckets: dict[str, dict] | None, missing_ids: list[str]):
+        self.line_count = line_count
+        self.line_correct = line_correct
+        self.line_accuracy = line_accuracy
+        self.mean_one_minus_ned = mean_one_minus_ned
+        self.char_count = char_count
+        self.char_correct = char_correct
+        self.char_accuracy = char_accuracy
+        self.mean_treesim = mean_treesim
+        self.treesim_scope = treesim_scope
+        self.rssl_buckets = rssl_buckets
+        self.occn_buckets = occn_buckets
+        self.missing_ids = missing_ids
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order; the bucket rows and the id list are copies,
+        so the result shares no container with the report."""
+        out = {name: getattr(self, name) for name in self.__slots__}
+        for name in ("rssl_buckets", "occn_buckets"):
+            if out[name] is not None:
+                out[name] = {bucket: dict(row) for bucket, row in out[name].items()}
+        out["missing_ids"] = list(self.missing_ids)
+        return out
 
 
 def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
@@ -301,12 +367,13 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
                 substituted.append((gt_mid, pred_mid))
                 distance = 1
             else:
-                for kind, i, j in align(gt_mid, pred_mid):
+                edits = _edits(gt_mid, pred_mid)
+                for kind, i, j in edits:
                     if kind == SUBSTITUTE:
                         substituted.append((gt_mid[i], pred_mid[j]))
                     elif kind == DELETE:
                         cell_of[gt_mid[i]].deleted += 1
-                    distance += kind != MATCH
+                distance = len(edits)
         # Two empty strings have distance 0 and score 1.
         longest = max(len(gt_text), len(pred_text), 1)
         ned_by_len[longest] = ned_by_len.get(longest, 0) + longest - distance

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateEntry,
@@ -161,8 +160,7 @@ def radical_weights(char: str, table: DecompositionTable, mode: str,
     return [Fraction(num, den) for num, den in _weight_ratios(mode, lam)(table._preorder(char))]
 
 
-@dataclass(frozen=True)
-class TargetRecord:
+class TargetRecord(NamedTuple):
     """One exported character: raw tokens plus fixed-length index/weight rows."""
 
     char: str

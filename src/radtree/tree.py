@@ -12,7 +12,6 @@ applied; inputs are expected to be NFC-normalized upfront.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TrailingTokens, Underflow
@@ -109,24 +108,35 @@ class ArityTable:
         return f"ArityTable({len(self._entries)} structures)"
 
 
-@dataclass(frozen=True)
 class RadicalTree:
     """One node of an ordered radical tree.
 
     Leaves carry radical symbols and have no children; internal nodes carry
     structure symbols and exactly as many children as the structure's arity.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share: assignment raises AttributeError.
     """
 
-    symbol: str
-    children: tuple[RadicalTree, ...] = ()
+    __slots__ = ("symbol", "children")
+
+    def __init__(self, symbol: str, children: tuple[RadicalTree, ...] = ()):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "children", children)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not by assignment
+        return self.__class__, (self.symbol, self.children)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
-    # The dataclass would generate these three recursively; one preorder walk
-    # gives the same results on trees of any depth.
+    # ==, hash and repr as a frozen dataclass defines them, but from one
+    # preorder walk instead of recursion, so trees of any depth work.
 
     def _shape(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """Preorder symbols and child counts, which determine an ordered tree."""

@@ -617,6 +617,15 @@ class TestPlumbing:
          "--occn-buckets needs --train"),
         (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--train-format", "plain"],
          "--train-format needs --train"),
+        (["parse", "", "--seq", "⿰ 女 子"], "give exactly one of CHAR or --seq"),
+        (["parse", "--seq", ""], "--seq has no tokens, got ''"),
+        (["parse", "--seq", " \t"], "--seq has no tokens, got ' \\t'"),
+        (["stats", "--input", "t.txt", "--rssl-buckets", ""],
+         "--rssl-buckets expects SIMPLE_MAX,COMPLEX_MIN, got ''"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--rssl-buckets", ""],
+         "--rssl-buckets expects SIMPLE_MAX,COMPLEX_MIN, got ''"),
+        (["eval", "--gt", "gt.tsv", "--pred", "pred.tsv", "--train", "t.txt", "--occn-buckets", ""],
+         "--occn-buckets expects HEAD,MID,LOW, got ''"),
     ])
     @pytest.mark.parametrize("table", ["missing", "underflow"])
     def test_usage_is_checked_before_the_table_is_read(self, capsys, tmp_path, argv, message,
@@ -632,6 +641,7 @@ class TestPlumbing:
         (["treesim", "好好", "妈"], "CHAR1 must be a single character, got '好好'"),
         (["treesim", "好", "妈妈"], "CHAR2 must be a single character, got '妈妈'"),
         (["weights", "--char", "好好"], "--char must be a single character, got '好好'"),
+        (["parse", ""], "CHAR must be a single character, got ''"),
     ])
     @pytest.mark.parametrize("table", ["missing", "underflow"])
     def test_characters_are_checked_before_the_table_is_read(self, capsys, tmp_path, argv,
@@ -744,7 +754,9 @@ class TestPlumbing:
         assert all(row["count"] for row in report["occn_buckets"].values())
 
     def test_no_subcommand_imports_numpy(self, tmp_path):
-        # numpy is imported only by targets.weighted_ce, which no subcommand calls.
+        # numpy is imported only by targets.weighted_ce, which no subcommand calls;
+        # dataclasses and the inspect module it imports cost every run start-up time.
+        # Only modules loaded after the interpreter's own start-up (site hooks) count.
         gt = tmp_path / "gt.tsv"
         gt.write_text("a\t好妈\nb\t林森\n", encoding="utf-8")
         out, table = str(tmp_path / "out"), str(SAMPLE_TABLE)
@@ -755,15 +767,17 @@ class TestPlumbing:
             ["export-targets", "--from-table", "--max-len", "8", "--vocab-out", out + ".tsv"],
         ]
         script = ("import sys\n"
+                  "before = set(sys.modules)\n"
                   "from radtree.cli import main\n"
                   f"extra = ['--table', {table!r}, '-o', {out!r}]\n"
                   f"codes = [main([*argv, *extra]) for argv in {commands!r}]\n"
-                  "print(codes, 'numpy' in sys.modules)\n")
+                  "added = set(sys.modules) - before\n"
+                  "print(codes, sorted(added & {'numpy', 'dataclasses', 'inspect'}))\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
-        assert done.stdout == "[0, 0, 0, 0, 0, 0] False\n"
+        assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from radtree.metrics import (
     SUBSTITUTE,
     BucketSpec,
     EditOp,
+    _edits,
     align,
     bucket_occn,
     bucket_rssl,
@@ -145,6 +147,17 @@ class TestAlign:
         for a, b in random_pairs(random.Random(57), 300, 12):
             ops = [(op.kind, op.gt_index, op.pred_index) for op in align(a, b)]
             assert ops == brute_align(a, b), (a, b)
+
+    def test_edits_are_the_oracle_non_matches(self):
+        # Two- and three-letter alphabets make ties common; empty sides included.
+        rng = random.Random(131)
+        for alphabet in ("ab", "abc", "好妈林"):
+            for _ in range(400):
+                a = random_text(rng, alphabet, 12)
+                b = random_text(rng, alphabet, 12) if rng.random() < 0.5 else edited(
+                    rng, a, 0.3, alphabet)
+                non_matches = [op for op in brute_align(a, b) if op[0] != MATCH]
+                assert list(reversed(_edits(a, b))) == non_matches, (a, b)
 
     def test_tie_break_order(self):
         # "ab" -> "ba": substitute twice, delete+insert, or insert+delete all cost 2.
@@ -296,6 +309,22 @@ class TestEvaluate:
         second = evaluate(gt, pred, sample_table).to_dict()
         assert first == second
 
+    def test_report_record(self, sample_table):
+        gt = {"a": "好妈", "b": "林"}
+        report = evaluate(gt, {"a": "好"}, sample_table)
+        assert report == evaluate(gt, {"a": "好"}, sample_table)
+        assert report != evaluate(gt, gt, sample_table)
+        assert repr(report).startswith("EvalReport(line_count=2, line_correct=0, ")
+        out = report.to_dict()
+        assert list(out) == ["line_count", "line_correct", "line_accuracy", "mean_one_minus_ned",
+                             "char_count", "char_correct", "char_accuracy", "mean_treesim",
+                             "treesim_scope", "rssl_buckets", "occn_buckets", "missing_ids"]
+        out["rssl_buckets"]["simple"]["count"] = -1
+        out["missing_ids"].append("c")
+        assert report.to_dict() == evaluate(gt, {"a": "好"}, sample_table).to_dict()
+        with pytest.raises(TypeError):
+            hash(report)
+
     @pytest.mark.parametrize("scope", ["all", "aligned"])
     @pytest.mark.parametrize("with_occn", [False, True])
     def test_matches_per_character_oracle(self, sample_table, scope, with_occn):
@@ -380,9 +409,9 @@ class TestTrimmedAlignment:
 
         def recording(gt_text, pred_text):
             calls.append((gt_text, pred_text))
-            return align(gt_text, pred_text)
+            return _edits(gt_text, pred_text)
 
-        monkeypatch.setattr("radtree.metrics.align", recording)
+        monkeypatch.setattr("radtree.metrics._edits", recording)
         return calls
 
     @staticmethod
@@ -467,3 +496,15 @@ class TestReadCorpusTsv:
 
 def test_default_bucket_spec_values():
     assert DEFAULT_BUCKETS == BucketSpec(4, 7, 100, 50, 20)
+
+
+def test_bucket_spec_is_an_immutable_checked_value():
+    spec = BucketSpec(occn_low_min=10)
+    assert hash(spec) == hash(BucketSpec(4, 7, 100, 50, 10))
+    assert repr(spec) == ("BucketSpec(rssl_simple_max=4, rssl_complex_min=7, occn_head_min=100, "
+                          "occn_mid_min=50, occn_low_min=10)")
+    with pytest.raises(AttributeError):
+        spec.occn_low_min = 60
+    with pytest.raises(ValueError):
+        spec._replace(occn_low_min=60)
+    assert pickle.loads(pickle.dumps(spec)) == spec

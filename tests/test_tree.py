@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -278,6 +280,16 @@ class TestIdentity:
             assert repr(tree) == repr(generated(tree))
         assert one != two and one != node("⿰", node("A", leaf("B")))
         assert RadicalTree("⿰", (leaf("A"),)) == one
+
+    def test_immutable_and_rebuilt_by_pickle_and_copy(self):
+        tree = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
+        for name in ("symbol", "children", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tree, name, leaf("X"))
+            with pytest.raises(AttributeError):
+                delattr(tree, name)
+        for copied in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+            assert copied == tree and repr(copied) == repr(tree)
 
     def test_not_equal_to_other_types(self):
         assert leaf("A") != "A"
