@@ -310,8 +310,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RadtreeError, ValueError) as exc:
-        code, kind, message = 2, "error", str(exc)
+    except (RadtreeError, ValueError, MemoryError) as exc:  # a bare MemoryError has no message
+        code, kind, message = 2, "error", str(exc) or type(exc).__name__
     except OSError as exc:
         code, kind, message = 3, "io error", str(exc)
     print(f"radtree: {kind}: {message.translate(_BREAKS)}", file=sys.stderr)

@@ -13,11 +13,11 @@ its common prefix and suffix with the prediction is aligned.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from itertools import compress
 from operator import ne
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateEntry, EmptyCorpus, MissingId
 from .table import DecompositionTable
@@ -41,12 +41,12 @@ class EditOp(NamedTuple):
     pred_index: int | None = None
 
 
-def _row_deltas(gt: str, pred: str) -> list[tuple[int, int]]:
+def _row_deltas(gt: str, pred: str) -> Iterator[tuple[int, int]]:
     """Bit-parallel edit-distance DP rows (Myers 1999, Hyyrö's Levenshtein form).
 
-    Entry i holds (Pv, Mv) for DP row i = 0..len(gt): bit j-1 of Pv (Mv) is
-    set when D[i][j] - D[i][j-1] is +1 (-1), so
-    D[i][j] = i + popcount(Pv & low_j) - popcount(Mv & low_j) with
+    Yields (Pv, Mv) for DP row i = 0..len(gt) in turn, so a caller keeps only
+    the rows it needs: bit j-1 of Pv (Mv) is set when D[i][j] - D[i][j-1] is
+    +1 (-1), so D[i][j] = i + popcount(Pv & low_j) - popcount(Mv & low_j) with
     low_j = 2**j - 1.  Python ints make the vectors as long as ``pred``.
     """
     peq: dict[str, int] = {}
@@ -56,7 +56,7 @@ def _row_deltas(gt: str, pred: str) -> list[tuple[int, int]]:
         bit <<= 1
     mask = bit - 1
     pv, mv = mask, 0  # row 0: D[0][j] = j
-    rows = [(pv, mv)]
+    yield pv, mv
     for char in gt:
         eq = peq.get(char, 0)
         xv = eq | mv
@@ -67,13 +67,12 @@ def _row_deltas(gt: str, pred: str) -> list[tuple[int, int]]:
         mh <<= 1
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
-        rows.append((pv, mv))
-    return rows
+        yield pv, mv
 
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode scalar values."""
-    pv, mv = _row_deltas(a, b)[-1]
+    pv, mv = deque(_row_deltas(a, b), maxlen=1)[0]  # the last row only
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
@@ -102,7 +101,7 @@ def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
     The walk steps over matches without recording them and stops once the
     distance left is 0, where only matches remain.
     """
-    rows = _row_deltas(gt, pred)
+    rows = list(_row_deltas(gt, pred))
     i, j = len(gt), len(pred)
     pv, mv = rows[i]
     d = i + pv.bit_count() - mv.bit_count()  # D[i][j], tracked along the walk
@@ -210,35 +209,14 @@ def bucket_occn(count: int, spec: BucketSpec = DEFAULT_BUCKETS) -> str:
     return "tail"
 
 
-class _Record:
-    """A mutable record over its ``__slots__``, with the ``==`` and repr that
-    ``dataclasses`` would generate; unhashable, as it is mutable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class _BucketAcc(_Record):
+class _BucketAcc:
     __slots__ = ("count", "substituted", "deleted", "sub_ks")
 
-    def __init__(self, count: int = 0, substituted: int = 0, deleted: int = 0,
-                 sub_ks: Counter | None = None):
-        self.count = count
-        self.substituted = substituted
-        self.deleted = deleted
-        self.sub_ks = Counter() if sub_ks is None else sub_ks  # k -> matched nodes of weight 1/k
+    def __init__(self):
+        self.count = 0
+        self.substituted = 0
+        self.deleted = 0
+        self.sub_ks = Counter()  # k -> matched nodes of weight 1/k
 
     @property
     def correct(self) -> int:
@@ -265,35 +243,26 @@ class _BucketAcc(_Record):
         }
 
 
-class EvalReport(_Record):
+class EvalReport(NamedTuple):
     """Aggregate evaluation results; to_dict() gives the JSON layout."""
 
-    __slots__ = ("line_count", "line_correct", "line_accuracy", "mean_one_minus_ned",
-                 "char_count", "char_correct", "char_accuracy", "mean_treesim",
-                 "treesim_scope", "rssl_buckets", "occn_buckets", "missing_ids")
-
-    def __init__(self, line_count: int, line_correct: int, line_accuracy: float,
-                 mean_one_minus_ned: float, char_count: int, char_correct: int,
-                 char_accuracy: float | None, mean_treesim: float | None,
-                 treesim_scope: str, rssl_buckets: dict[str, dict],
-                 occn_buckets: dict[str, dict] | None, missing_ids: list[str]):
-        self.line_count = line_count
-        self.line_correct = line_correct
-        self.line_accuracy = line_accuracy
-        self.mean_one_minus_ned = mean_one_minus_ned
-        self.char_count = char_count
-        self.char_correct = char_correct
-        self.char_accuracy = char_accuracy
-        self.mean_treesim = mean_treesim
-        self.treesim_scope = treesim_scope
-        self.rssl_buckets = rssl_buckets
-        self.occn_buckets = occn_buckets
-        self.missing_ids = missing_ids
+    line_count: int
+    line_correct: int
+    line_accuracy: float
+    mean_one_minus_ned: float
+    char_count: int
+    char_correct: int
+    char_accuracy: float | None
+    mean_treesim: float | None
+    treesim_scope: str
+    rssl_buckets: dict[str, dict]
+    occn_buckets: dict[str, dict] | None
+    missing_ids: list[str]
 
     def to_dict(self) -> dict:
         """The fields in order; the bucket rows and the id list are copies,
         so the result shares no container with the report."""
-        out = {name: getattr(self, name) for name in self.__slots__}
+        out = self._asdict()
         for name in ("rssl_buckets", "occn_buckets"):
             if out[name] is not None:
                 out[name] = {bucket: dict(row) for bucket, row in out[name].items()}

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring
 from fractions import Fraction
+from math import fsum, inf, isfinite, log
+from numbers import Integral, Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -249,50 +251,39 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
 def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:
     """Weighted cross-entropy (negative log-likelihood) of target indices.
 
-    ``prob_rows`` is an (n, vocab) array of per-position distributions,
-    each summing to 1 within 1e-6.  Positions with zero weight cost
-    nothing, so PAD rows are excluded by their weight alone.  ``reduction``
-    "sum" adds the weighted terms; "mean" divides by the number of
-    positions with positive weight.  Ragged or non-numeric input and
-    non-integer targets raise ShapeMismatch, non-finite probabilities
-    InvalidDistribution, negative or non-finite weights ValueError.
+    ``prob_rows`` holds one distribution per position, rows of one length each
+    summing to 1 within 1e-6.  Positions with zero weight cost nothing, so PAD
+    rows are excluded by their weight alone.  ``reduction`` "sum" adds the
+    weighted terms with math.fsum, so their order cannot change the result;
+    "mean" divides by the number of positions with positive weight.  Ragged or
+    non-numeric input and targets that are not integer indices (bools are not)
+    or fall outside a row raise ShapeMismatch, a row that is not a finite
+    distribution InvalidDistribution, negative or non-finite weights ValueError.
     """
     if reduction not in ("sum", "mean"):
         raise ValueError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
-    import numpy as np  # only this reference loss needs it; keeps CLI start-up light
-
     try:
-        p = np.asarray(prob_rows, dtype=np.float64)
-        t = np.asarray(targets)
-        w = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ShapeMismatch("prob_rows, targets or weights are ragged or not numeric") from None
-    if t.ndim != 1 or w.ndim != 1:
-        raise ShapeMismatch("targets and weights must be 1-D")
-    if t.size and t.dtype.kind not in "iu":
-        raise ShapeMismatch(f"targets must be integer indices, got dtype {t.dtype}")
-    if p.size == 0 and t.size == 0 and w.size == 0:
-        return 0.0
-    if p.ndim != 2:
-        raise ShapeMismatch("prob_rows must be a 2-D array")
-    if not (p.shape[0] == t.shape[0] == w.shape[0]):
-        raise ShapeMismatch(
-            f"lengths disagree: {p.shape[0]} rows, {t.shape[0]} targets, {w.shape[0]} weights"
-        )
-    if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
+        rows, t, w = [list(row) for row in prob_rows], list(targets), list(weights)
+    except TypeError:
+        raise ShapeMismatch("prob_rows, targets or weights are not sequences") from None
+    if not all(isinstance(x, Real) for row in (w, *rows) for x in row):
+        raise ShapeMismatch("probabilities and weights must be real numbers")
+    if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in t):
+        raise ShapeMismatch("targets must be integer indices")
+    if len(set(map(len, rows))) > 1:
+        raise ShapeMismatch("prob_rows are ragged")
+    if not len(rows) == len(t) == len(w):
+        raise ShapeMismatch(f"{len(rows)} rows but {len(t)} targets and {len(w)} weights")
+    if not all(0 <= k < len(p) for p, k in zip(rows, t)):
         raise ShapeMismatch("target index out of range for the vocabulary axis")
-    if not np.isfinite(p).all() or np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
+    # isfinite first: fsum raises on inf + -inf.
+    if not all(all(map(isfinite, row)) and min(row) >= 0 and abs(fsum(row) - 1.0) <= 1e-6
+               for row in rows):
         raise InvalidDistribution(
             "every row must be a probability distribution (finite, sum 1 within 1e-6)")
-    if not np.isfinite(w).all() or np.any(w < 0):
+    if not all(isfinite(x) and x >= 0 for x in w):
         raise ValueError("weights must be finite and >= 0")
-    mask = w > 0
-    if not mask.any():
-        return 0.0
-    picked = p[np.nonzero(mask)[0], t[mask]]
-    with np.errstate(divide="ignore"):
-        nll = -np.log(picked)
-    total = float(np.dot(w[mask], nll))
-    if reduction == "mean":
-        total /= int(mask.sum())
-    return total
+    # A weighted target of probability 0 costs infinity, where log(0) would raise.
+    terms = [float(x) * (-log(p[k]) if p[k] else inf) for p, k, x in zip(rows, t, w) if x > 0]
+    total = fsum(terms)
+    return total / len(terms) if reduction == "mean" and terms else total

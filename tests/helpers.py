@@ -8,7 +8,8 @@ ancestors, with node weights derived from the closed-form product of
 textbook full-matrix DP in plain Python; the evaluation report is rebuilt
 one ground-truth character at a time with Fraction sums; the output of
 ``radtree parse`` is rebuilt by walking a RadicalTree node by node; export
-lines are ``json.dumps`` of each record's dict.
+lines are ``json.dumps`` of each record's dict; the weighted loss is
+numpy's gather, log and dot.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from radtree.errors import MalformedLine, TrailingTokens, Underflow
 from radtree.metrics import DEFAULT_BUCKETS, BucketSpec, bucket_occn, bucket_rssl
@@ -385,3 +388,10 @@ def evaluate_oracle(gt: dict[str, str], pred: dict[str, str], table, occn=None,
 def random_text(rng: random.Random, alphabet: str, max_len: int,
                 min_len: int = 0) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(min_len, max_len)))
+
+
+def weighted_ce_oracle(prob_rows, targets, weights) -> float:
+    """The summed weighted loss computed by numpy, values only: no input is checked."""
+    p, t, w = np.asarray(prob_rows, float), np.asarray(targets), np.asarray(weights, float)
+    keep = w > 0
+    return float(np.dot(w[keep], -np.log(p[np.flatnonzero(keep), t[keep]])))

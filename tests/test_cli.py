@@ -265,6 +265,17 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["occn_buckets"] is None
 
+    def test_memory_error_is_one_line_and_exit_2(self, capsys, monkeypatch, eval_files):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("radtree.cli.evaluate", exhausted)
+        gt, pred, _ = eval_files
+        code, _, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred))
+        assert code == 2
+        assert err.startswith("radtree: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_identical_files_score_one(self, capsys, sample_table_path, eval_files):
         gt, _, _ = eval_files
         code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(gt),
@@ -754,8 +765,8 @@ class TestPlumbing:
         assert all(row["count"] for row in report["occn_buckets"].values())
 
     def test_no_subcommand_imports_numpy(self, tmp_path):
-        # numpy is imported only by targets.weighted_ce, which no subcommand calls;
-        # dataclasses and the inspect module it imports cost every run start-up time.
+        # The package imports no numpy; a run that loaded it, or dataclasses and the
+        # inspect module that comes with it, would pay for them at every start-up.
         # Only modules loaded after the interpreter's own start-up (site hooks) count.
         gt = tmp_path / "gt.tsv"
         gt.write_text("a\t好妈\nb\t林森\n", encoding="utf-8")

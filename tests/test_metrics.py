@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,19 @@ class TestLevenshtein:
             a = random_text(rng, ALPHABET, 10)
             b = random_text(rng, ALPHABET, 10)
             assert levenshtein(a, b) == levenshtein(b, a)
+
+    def test_memory_stays_flat_on_long_strings(self):
+        # All DP rows of two 8k-char strings would take about 18 MB; one row is 2 kB.
+        rng = random.Random(47)
+        a, b = (random_text(rng, ALPHABET, 8000, 8000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            distance = levenshtein(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert distance > 4000
 
 
 class TestOneMinusNed:

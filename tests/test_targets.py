@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import dumps_lines, random_tree
+from helpers import dumps_lines, random_tree, weighted_ce_oracle
 from radtree.errors import (
     DuplicateEntry,
     InvalidDistribution,
@@ -347,6 +351,8 @@ class TestWeightedCe:
             weighted_ce([[0.5, 0.5]], [0, 1], [1.0])
         with pytest.raises(ShapeMismatch):
             weighted_ce([[0.5, 0.5]], [7], [1.0])
+        with pytest.raises(ShapeMismatch):  # one row, no target
+            weighted_ce([[]], [], [])
 
     def test_invalid_distribution(self):
         with pytest.raises(InvalidDistribution):
@@ -366,7 +372,8 @@ class TestWeightedCe:
             with pytest.raises(ValueError, match="finite"):
                 weighted_ce([row, [0.5, 0.5]], [0, 1], [weight, 1.0])
 
-    @pytest.mark.parametrize("targets", [[0.7], [0.0], np.array([1.0]), ["0"]])
+    @pytest.mark.parametrize("targets", [[0.7], [0.0], np.array([1.0]), ["0"], [True],
+                                         np.array([True])])
     def test_non_integer_targets_refused(self, targets):
         with pytest.raises(ShapeMismatch):
             weighted_ce([[0.5, 0.5]], targets, [1.0])
@@ -384,6 +391,36 @@ class TestWeightedCe:
     def test_reduction_validation(self):
         with pytest.raises(ValueError):
             weighted_ce([[1.0]], [0], [1.0], reduction="median")
+
+    def test_matches_numpy_oracle(self):
+        rng = np.random.default_rng(101)
+        for size in (1, 7, 40, 300):
+            rows = rng.dirichlet(np.ones(6), size=size)
+            targets = rng.integers(0, 6, size=size)
+            weights = rng.uniform(0.0, 2.0, size=size)
+            expected = weighted_ce_oracle(rows, targets, weights)
+            assert abs(weighted_ce(rows, targets, weights) - expected) <= 1e-12 * expected
+
+    def test_order_of_positions_does_not_change_the_loss(self):
+        rng = np.random.default_rng(103)
+        rows = rng.dirichlet(np.ones(5), size=200)
+        targets = rng.integers(0, 5, size=200)
+        weights = rng.uniform(0.0, 3.0, size=200)
+        loss = weighted_ce(rows, targets, weights)
+        for _ in range(10):
+            order = rng.permutation(200)
+            assert weighted_ce(rows[order], targets[order], weights[order]) == loss
+
+    def test_needs_no_numpy(self):
+        script = ("import math, sys\n"
+                  "sys.modules['numpy'] = None\n"  # any import of numpy now fails
+                  "from radtree import weighted_ce\n"
+                  "print(abs(weighted_ce([[0.25] * 4], [2], [1.0]) - math.log(4)) <= 1e-12)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 def test_generated_weights_feed_reference_loss(sample_table):
