@@ -182,8 +182,10 @@ def cmd_eval(args) -> int:
     occn = (None if args.train is None else  # first: its labels are freed before the table loads
             count_occurrences(read_labels(args.train, args.train_format or "plain")))
     table = _load_table(args)
-    gt = read_corpus_tsv(args.gt)
-    pred = read_corpus_tsv(args.pred)
+    strings: dict[str, str] = {}  # pred's ids are gt's objects; each distinct text is one str
+    gt = read_corpus_tsv(args.gt, strings=strings)
+    pred = read_corpus_tsv(args.pred, strings=strings)
+    del strings
     report = evaluate(
         gt, pred, table,
         occn=occn,

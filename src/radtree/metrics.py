@@ -381,18 +381,21 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
     )
 
 
-def read_corpus_tsv(path) -> dict[str, str]:
+def read_corpus_tsv(path, *, strings: dict[str, str] | None = None) -> dict[str, str]:
     """Read ``<id><TAB><text>`` lines into an id -> text mapping.
 
     Only the first tab separates the fields, so text may contain tabs.
-    Blank lines are skipped; duplicate ids are an error.
+    Blank lines are skipped; duplicate ids are an error.  Each id and text is
+    stored as ``strings.setdefault(s, s)``: reads that share one ``strings``
+    dict hold one ``str`` object per distinct value (a fresh dict by default).
     """
     out: dict[str, str] = {}
+    share = ({} if strings is None else strings).setdefault
     for lineno, line in numbered_lines(path):
         if not line:
             continue
         sid, text = two_fields(path, lineno, line, "<id><TAB><text>", 1)
         if sid in out:
             raise DuplicateEntry(f"{path}:{lineno}: duplicate sample id {sid!r}")
-        out[sid] = text
+        out[share(sid, sid)] = share(text, text)
     return out

@@ -32,8 +32,9 @@ class DecompositionTable:
     shared); ``load`` fills these two dicts of an empty table line by line
     and stores each distinct token string once, shared by every entry.
     A character's tree is built on its first lookup and then kept.
-    ``tokens()`` serves save, the inventory and rssl; similarity, weights,
-    export and the CLI's ``parse`` read ``_preorder()``; neither builds a tree.
+    ``tokens()`` serves save, the inventory, rssl and export's records;
+    similarity, weights, export's plan and the CLI's ``parse`` read
+    ``_preorder()``; neither builds a tree.
 
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined

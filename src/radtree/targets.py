@@ -194,10 +194,11 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     needs.  Each data weight is num / den, equal to float() of the
     radical_weights Fraction; records of one tree shape share one row.
     """
-    plan, vocab = _plan(list(charset), table, max_len, mode, lam, vocab)
+    chars = list(charset)
+    plan, vocab = _plan(chars, table, max_len, mode, lam, vocab)
     return [TargetRecord(char, tokens, (*vocab.encode(tokens), EOS_INDEX,
                                         *[PAD_INDEX] * (len(row) - len(tokens) - 1)), row)
-            for char, tokens, (row, _) in plan]
+            for char, tokens, (row, _) in zip(chars, map(table.tokens, chars), plan)]
 
 
 def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
@@ -205,25 +206,27 @@ def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int
     """Per ``export_targets`` record, ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
     and a newline, streamed from the plan; floats are shortest round-trip, so identical inputs
     give identical bytes.  Every check passes before this returns: a failure writes nothing."""
-    plan, _ = _plan(list(charset), table, max_len, mode, lam, vocab)
+    chars = list(charset)
+    plan, _ = _plan(chars, table, max_len, mode, lam, vocab)
     token_json = {token: encode_basestring(token) for token in vocab.tokens}
     index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
     return (_HEAD % (encode_basestring(char), ", ".join(map(token_json.__getitem__, tokens)),
                      ", ".join(map(index_text.__getitem__, tokens))) + tail
-            for char, tokens, (_, tail) in plan)
+            for char, tokens, (_, tail) in zip(chars, map(table.tokens, chars), plan))
 
 
 def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, lam,
           vocab: RadicalVocab | None) -> tuple[list[tuple], RadicalVocab]:
-    """Check an export in full; return one ``(char, tokens, (row, tail))`` per
-    character, and the vocabulary.
+    """Check an export in full; return its shape's ``(row, tail)`` entry per
+    character, in ``chars`` order, and the vocabulary.
 
     Raises as _export_ratios, then SequenceTooLong for a character whose
     sequence plus EOS exceeds ``max_len``, UnknownToken for a token outside
     ``vocab``.  A node's weight depends only on the child counts along its
     root path, so a tree's shape decides its weight row (data weights, 1.0,
     0.0 ...), its length and so its line tail (the EOS/PAD indices and the
-    row as JSON): each is made and checked once per distinct shape.
+    row as JSON): each is made and checked once per distinct shape, and the
+    characters of one shape share one entry object.
     """
     ratios = _export_ratios(mode, lam, max_len)
     if vocab is None:
@@ -244,7 +247,7 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
             entry = shapes[counts] = row, tail
         if not known.issuperset(tokens):
             vocab.encode(tokens)  # raises UnknownToken for the first missing token
-        plan.append((char, tokens, entry))
+        plan.append(entry)
     return plan, vocab
 
 

@@ -322,6 +322,30 @@ class TestEval:
         assert report["rssl_buckets"]["sub_complex"]["count"] == 4
         assert report["occn_buckets"]["head"]["count"] == 0
 
+    def test_occn_tail_is_exactly_the_characters_unseen_in_training(self, capsys, tmp_path,
+                                                                      sample_table_path):
+        # --occn-buckets H,M,1: tail is occn 0, the zero-shot set.
+        rng = random.Random(29)
+        alphabet, seen = "好妈林森品街口木ab", "好林品口a"
+        train_lines = ["".join(rng.choice(seen) for _ in range(rng.randint(1, 9)))
+                       for _ in range(30)]
+        gt_lines = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+                    for _ in range(40)]
+        gt, pred, train = tmp_path / "gt.tsv", tmp_path / "pred.tsv", tmp_path / "train.txt"
+        gt.write_text("".join(f"s{n}\t{t}\n" for n, t in enumerate(gt_lines)), encoding="utf-8")
+        pred.write_text("".join(f"s{n}\t{t[::-1]}\n" for n, t in enumerate(gt_lines)),
+                        encoding="utf-8")
+        train.write_text("\n".join(train_lines) + "\n", encoding="utf-8")
+        trained = set("".join(train_lines))
+        unseen = sum(char not in trained for text in gt_lines for char in text)
+        code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                           "--table", str(sample_table_path), "--train", str(train),
+                           "--occn-buckets", "100,50,1")
+        assert code == 0
+        report = json.loads(out)
+        assert 0 < unseen < report["char_count"]
+        assert report["occn_buckets"]["tail"]["count"] == unseen
+
     def test_bad_bucket_spec_exits_2(self, capsys, eval_files):
         gt, pred, _ = eval_files
         code, _, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),

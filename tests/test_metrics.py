@@ -508,6 +508,78 @@ class TestReadCorpusTsv:
             read_corpus_tsv(path)
 
 
+class TestSharedCorpusStrings:
+    """A gt/pred pair read through one ``strings`` dict holds one str per distinct value."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        gt, pred = tmp_path / "gt.tsv", tmp_path / "pred.tsv"
+        gt.write_text("id-1\t好妈\nid-2\t林林\nid-3\t好妈\n", encoding="utf-8")
+        pred.write_text("id-2\t好妈\nid-1\t好妈\nid-4\t林林\nid-3\t森\n", encoding="utf-8")
+        return gt, pred
+
+    def test_equals_unshared_reads(self, pair):
+        strings = {}
+        shared = [read_corpus_tsv(path, strings=strings) for path in pair]
+        assert shared == [read_corpus_tsv(path) for path in pair]
+        assert shared[1] == {"id-2": "好妈", "id-1": "好妈", "id-4": "林林", "id-3": "森"}
+
+    def test_pred_ids_are_gt_objects_and_equal_texts_one_object(self, pair):
+        strings = {}
+        gt, pred = (read_corpus_tsv(path, strings=strings) for path in pair)
+        gt_ids = {sid: sid for sid in gt}  # lookup by value, gt's own key object back
+        assert all(gt_ids[sid] is sid for sid in pred if sid in gt)
+        texts = [*gt.values(), *pred.values()]
+        assert len({id(text) for text in texts}) == len(set(texts)) == 3
+
+    def test_unshared_reads_keep_their_own_ids(self, pair):
+        gt, pred = (read_corpus_tsv(path) for path in pair)
+        gt_ids = {sid: sid for sid in gt}
+        assert not any(gt_ids[sid] is sid for sid in pred if sid in gt)
+        assert gt["id-1"] is gt["id-3"]  # one read still shares within its file
+
+    @pytest.mark.parametrize("text, message", [
+        ("id-1\tx\nid-1\ty\n", ":2: duplicate sample id 'id-1'"),
+        ("id-1\tx\nno tab\n", ":2: expected <id><TAB><text>"),
+    ])
+    def test_errors_keep_path_and_line(self, pair, tmp_path, text, message):
+        strings = {}
+        read_corpus_tsv(pair[0], strings=strings)
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises((DuplicateEntry, MalformedLine)) as info:
+            read_corpus_tsv(path, strings=strings)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_memory_held_by_a_shared_pair_is_well_under_unshared(self, tmp_path):
+        # 20k single-character samples, 40% substituted: most texts repeat and every
+        # pred id is a gt id.  Measured: 2.3 MB held shared, 3.8 MB unshared.
+        rng = random.Random(61)
+        chars = [chr(0x4E00 + i) for i in range(5000)]
+        gt = [rng.choice(chars) for _ in range(20000)]
+        pred = [rng.choice(chars) if rng.random() < 0.4 else char for char in gt]
+        paths = tmp_path / "gt.tsv", tmp_path / "pred.tsv"
+        for path, texts in zip(paths, (gt, pred)):
+            path.write_text("".join(f"s{n:06d}\t{t}\n" for n, t in enumerate(texts)),
+                            encoding="utf-8")
+
+        def held(strings):
+            tracemalloc.start()
+            try:
+                corpora = [read_corpus_tsv(path, strings=strings) for path in paths]
+                del strings
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert corpora == [dict(zip((f"s{n:06d}" for n in range(20000)), texts))
+                               for texts in (gt, pred)]
+            return current
+
+        shared, unshared = held({}), held(None)
+        assert shared < 0.7 * unshared
+        assert unshared - shared > 2**20
+
+
 def test_default_bucket_spec_values():
     assert DEFAULT_BUCKETS == BucketSpec(4, 7, 100, 50, 20)
 

@@ -27,6 +27,7 @@ from radtree.targets import (
     PAD_INDEX,
     PAD_TOKEN,
     RadicalVocab,
+    _plan,
     build_vocab,
     export_lines,
     export_targets,
@@ -267,6 +268,15 @@ class TestShapeRows:
         assert by_char["己"].weights is by_char["@"].weights
         assert by_char["丙"].weights != by_char["丁"].weights
         assert by_char["丙"].weights[:5] == (4 / 3, 4 / 3, 10 / 9, 10 / 9, 10 / 9)
+
+    def test_plan_shares_one_entry_per_shape(self, table):
+        chars = [*self.ROWS, "@"]
+        plan, _ = _plan(chars, table, 8, "treesim", 1, None)
+        entry = dict(zip(chars, plan, strict=True))
+        assert entry["甲"] is entry["乙"] is entry["戊"]  # child counts (2, 0, 0)
+        assert entry["己"] is entry["@"]
+        assert entry["丙"] is not entry["丁"]
+        assert len(set(map(id, plan))) == 4
 
     def test_builds_one_tree_per_shape(self, table, monkeypatch):
         built = []
