@@ -35,10 +35,12 @@ def _single_char(text: str, what: str) -> str:
     return text
 
 
-def _load_table(args) -> DecompositionTable:
+def _load_table(args, keep=None) -> DecompositionTable:
+    """The ``--table`` (every line checked), holding only the entries of ``keep``
+    unless it is None; an empty table without the flag."""
     arities = ArityTable.default() if args.arities is None else ArityTable.from_file(args.arities)
     if args.table is not None:  # "" too is a path, and fails as one
-        return DecompositionTable.load(args.table, arities)
+        return DecompositionTable.load(args.table, arities, keep=keep)
     return DecompositionTable(arities=arities)
 
 
@@ -107,7 +109,7 @@ def cmd_parse(args) -> int:
     if args.seq is not None and not args.seq.split():
         raise RadtreeError(f"--seq has no tokens, got {args.seq!r}")
     char = None if args.char is None else _single_char(args.char, "CHAR")
-    table = _load_table(args)
+    table = _load_table(args, keep={char})  # --seq: {None}, which keeps no entry
     if args.seq is not None:
         tokens = args.seq.split()
         counts = table.arities.child_counts(tokens)
@@ -125,7 +127,7 @@ def cmd_parse(args) -> int:
 
 def cmd_treesim(args) -> int:
     char1, char2 = _single_char(args.char1, "CHAR1"), _single_char(args.char2, "CHAR2")
-    score = char_sim(char1, char2, _load_table(args))
+    score = char_sim(char1, char2, _load_table(args, keep={char1, char2}))
     _write(args.output, [f"{float(score):.12f}\n"])
     return 0
 
@@ -133,20 +135,21 @@ def cmd_treesim(args) -> int:
 def cmd_weights(args) -> int:
     char = _single_char(args.char, "--char")
     _weight_ratios(args.mode, args.lam)  # before any file is read
-    weights = radical_weights(char, _load_table(args), mode=args.mode, lam=args.lam)
+    weights = radical_weights(char, _load_table(args, keep={char}), mode=args.mode, lam=args.lam)
     _emit_json(args, [float(w) for w in weights])
     return 0
 
 
 def cmd_stats(args) -> int:
     buckets = _bucket_spec(args)
-    table = _load_table(args)
-    labels = read_labels(args.input, args.input_format)
-    counts = count_occurrences(labels)
+    labels = read_labels(args.input, args.input_format)  # first: the table keeps only its chars
+    line_count, counts = len(labels), count_occurrences(labels)
+    del labels
     if not counts:
         raise EmptyCorpus(f"no characters in {args.input}")
+    table = _load_table(args, keep=counts.keys())
     payload = {
-        "line_count": len(labels),
+        "line_count": line_count,
         "char_total": sum(counts.values()),
         "distinct_chars": len(counts),
         "occn": {char: counts[char] for char in sorted(counts)},
@@ -179,13 +182,14 @@ def cmd_eval(args) -> int:
     for flag in ("--occn-buckets", "--train-format"):  # read only with a training file
         if args.train is None and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise RadtreeError(f"{flag} needs --train")
-    occn = (None if args.train is None else  # first: its labels are freed before the table loads
+    occn = (None if args.train is None else  # first: its labels are freed before the rest
             count_occurrences(read_labels(args.train, args.train_format or "plain")))
-    table = _load_table(args)
     strings: dict[str, str] = {}  # pred's ids are gt's objects; each distinct text is one str
     gt = read_corpus_tsv(args.gt, strings=strings)
     pred = read_corpus_tsv(args.pred, strings=strings)
     del strings
+    # Last: it keeps only the characters evaluate can look up, those of the texts.
+    table = _load_table(args, keep=set().union(*gt.values(), *pred.values()))
     report = evaluate(
         gt, pred, table,
         occn=occn,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
+from math import isqrt
 from operator import ne
 from typing import Iterator, Mapping, NamedTuple
 
@@ -32,6 +33,11 @@ INSERT = "insert"
 RSSL_BUCKETS = ("simple", "sub_complex", "complex")
 OCCN_BUCKETS = ("head", "mid", "low", "tail")
 
+# _edits holds DP rows in blocks: _BLOCK_ROWS rows each if set, else all rows of
+# a row table under _WHOLE_TABLE_BITS bits (2·len(pred) per row), else about √len(gt).
+_BLOCK_ROWS: int | None = None
+_WHOLE_TABLE_BITS = 1 << 22
+
 
 class EditOp(NamedTuple):
     """One alignment step; indices refer to the ground truth and prediction."""
@@ -41,22 +47,30 @@ class EditOp(NamedTuple):
     pred_index: int | None = None
 
 
-def _row_deltas(gt: str, pred: str) -> Iterator[tuple[int, int]]:
-    """Bit-parallel edit-distance DP rows (Myers 1999, Hyyrö's Levenshtein form).
-
-    Yields (Pv, Mv) for DP row i = 0..len(gt) in turn, so a caller keeps only
-    the rows it needs: bit j-1 of Pv (Mv) is set when D[i][j] - D[i][j-1] is
-    +1 (-1), so D[i][j] = i + popcount(Pv & low_j) - popcount(Mv & low_j) with
-    low_j = 2**j - 1.  Python ints make the vectors as long as ``pred``.
-    """
+def _pred_masks(pred: str) -> tuple[dict[str, int], int]:
+    """Per character, the bits j where pred[j] is it; and the mask of len(pred) ones."""
     peq: dict[str, int] = {}
     bit = 1
     for char in pred:
         peq[char] = peq.get(char, 0) | bit
         bit <<= 1
-    mask = bit - 1
-    pv, mv = mask, 0  # row 0: D[0][j] = j
-    yield pv, mv
+    return peq, bit - 1
+
+
+def _rows(gt: str, peq: dict[str, int], mask: int,
+          row: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """Bit-parallel edit-distance DP rows (Myers 1999, Hyyrö's Levenshtein form).
+
+    Yields ``row``, the DP row of some i, then one row per char of ``gt``,
+    which holds the ground truth's chars from index i on, so a caller keeps
+    only the rows it needs.  A row is (Pv, Mv): bit j-1 of Pv (Mv) is
+    set when D[i][j] - D[i][j-1] is +1 (-1), so D[i][j] = i + popcount(Pv &
+    low_j) - popcount(Mv & low_j) with low_j = 2**j - 1.  Python ints make
+    the vectors as long as the prediction; ``peq`` and ``mask`` are its
+    _pred_masks.
+    """
+    pv, mv = row
+    yield row
     for char in gt:
         eq = peq.get(char, 0)
         xv = eq | mv
@@ -72,7 +86,8 @@ def _row_deltas(gt: str, pred: str) -> Iterator[tuple[int, int]]:
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode scalar values."""
-    pv, mv = deque(_row_deltas(a, b), maxlen=1)[0]  # the last row only
+    peq, mask = _pred_masks(b)
+    pv, mv = deque(_rows(a, peq, mask, (mask, 0)), maxlen=1)[0]  # row 0, D[0][j] = j, to the last
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
@@ -99,10 +114,23 @@ def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
     ``(kind, gt_index, pred_index)``, last first.
 
     The walk steps over matches without recording them and stops once the
-    distance left is 0, where only matches remain.
+    distance left is 0, where only matches remain.  The DP rows come in
+    blocks of ``size``: the forward pass keeps the first row of each block
+    and the whole last block, and ``rows`` holds None for the rest.  The
+    walk's row only falls, so on reaching a None it recomputes the rows from
+    that block's first and drops every row above: about 2·√len(gt) rows are
+    held, not all len(gt) + 1.  A row table under _WHOLE_TABLE_BITS is one
+    block, kept whole from the one pass.
     """
-    rows = list(_row_deltas(gt, pred))
+    peq, mask = _pred_masks(pred)
     i, j = len(gt), len(pred)
+    size = _BLOCK_ROWS or (i + 1 if 2 * (i + 1) * j < _WHOLE_TABLE_BITS else isqrt(i) + 1)
+    forward = _rows(gt, peq, mask, (mask, 0))
+    base = i // size * size  # the last block's first row
+    rows = [None] * base
+    if base:  # the first row of each earlier block
+        rows[::size] = islice(forward, 0, base, size)
+    rows += forward
     pv, mv = rows[i]
     d = i + pv.bit_count() - mv.bit_count()  # D[i][j], tracked along the walk
     edits = []
@@ -113,7 +141,12 @@ def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
             j -= 1
             continue
         d -= 1  # every other step costs 1, so its source cell holds d
-        pv, mv = rows[i - 1]
+        try:
+            pv, mv = rows[i - 1]
+        except TypeError:  # None: recompute rows base..i - 1 from the block's first
+            base = (i - 1) // size * size
+            rows[base:] = _rows(gt[base:i - 1], peq, mask, rows[base])
+            pv, mv = rows[i - 1]
         low = (1 << (j - 1)) - 1
         diag = i - 1 + (pv & low).bit_count() - (mv & low).bit_count()  # D[i-1][j-1]
         if diag == d:

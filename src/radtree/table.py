@@ -9,6 +9,8 @@ representable.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
 from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, validate_tree
@@ -56,28 +58,45 @@ class DecompositionTable:
             self._entries[char], self._shapes[char] = tokens, _shape(seen, tokens, counts)
 
     @classmethod
-    def load(cls, path, arities: ArityTable | None = None) -> DecompositionTable:
-        """Read a decomposition TSV file into a table, checking every entry."""
+    def load(cls, path, arities: ArityTable | None = None, *,
+             keep: Collection[str] | None = None) -> DecompositionTable:
+        """Read a decomposition TSV file into a table, checking every entry.
+
+        With ``keep``, only the entries whose key is in it are stored, and any
+        other character looks untabulated.  Every line is still checked alike,
+        so a table loads, or fails with the same error, whatever ``keep``
+        holds; a bit set of one bit per code point marks the dropped keys and
+        so catches their duplicates.
+        """
         table = cls(arities=arities)
         entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
         canon = {}  # token -> its first string, so a table holds one str per distinct token
+        dropped = None if keep is None else bytearray(0x110000 >> 3)
         for lineno, line in numbered_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
             char, seq = two_fields(path, lineno, line, "<char><TAB><token sequence>")
             if len(char) != 1:
                 raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
-            if char in entries:
+            kept = keep is None or char in keep
+            if kept:
+                duplicate = char in entries
+            else:
+                code = ord(char)
+                duplicate = dropped[code >> 3] >> (code & 7) & 1
+                dropped[code >> 3] |= 1 << (code & 7)
+            if duplicate:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
             parts = seq.split()
-            tokens = tuple(map(canon.setdefault, parts, parts))
-            if not tokens:
+            if not parts:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
+            tokens = tuple(map(canon.setdefault, parts, parts)) if kept else parts
             try:  # split() leaves no empty token, so an equal shape passes alike
-                shapes[char] = _shape(seen, tokens, table.arities.child_counts(tokens))
+                shape = _shape(seen, tokens, table.arities.child_counts(tokens))
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-            entries[char] = tokens
+            if kept:
+                entries[char], shapes[char] = tokens, shape
         return table
 
     def save(self, path) -> None:

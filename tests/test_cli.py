@@ -726,6 +726,51 @@ class TestPlumbing:
         assert err.startswith("radtree: io error: ") and err.endswith(f"{str(train)!r}\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("role", ["--gt", "--pred"])
+    def test_eval_reads_the_corpora_before_the_table(self, capsys, tmp_path, eval_files, role):
+        gt, pred, _ = eval_files
+        table, missing = tmp_path / "table.tsv", tmp_path / "missing.tsv"
+        table.write_text("好\t⿰ 女\n", encoding="utf-8")  # underflows
+        gt, pred = (missing, pred) if role == "--gt" else (gt, missing)
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                             "--table", str(table))
+        assert (code, out) == (3, "")
+        assert err.startswith("radtree: io error: ") and err.endswith(f"{str(missing)!r}\n")
+        assert err.count("\n") == 1
+
+    def test_stats_reads_its_input_before_the_table(self, capsys, tmp_path):
+        table, missing = tmp_path / "table.tsv", tmp_path / "missing.txt"
+        table.write_text("好\t⿰ 女\n", encoding="utf-8")  # underflows
+        code, out, err = run(capsys, "stats", "--input", str(missing), "--table", str(table))
+        assert (code, out) == (3, "")
+        assert err.startswith("radtree: io error: ") and err.endswith(f"{str(missing)!r}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, kept", [
+        (["parse", "好"], "好"),
+        (["parse", "--seq", "⿰ 女 子"], ""),
+        (["treesim", "林", "好"], "好林"),
+        (["weights", "--char", "森"], "森"),
+        (["stats", "--input", "{train}"], "好妈林"),
+        (["eval", "--gt", "{gt}", "--pred", "{pred}"], "好妈林"),  # 木 is untabulated
+        (["export-targets", "--from-table", "--max-len", "8"], "好妈林森品街"),
+    ])
+    def test_each_command_keeps_only_the_entries_it_reads(self, capsys, monkeypatch,
+                                                          sample_table_path, eval_files,
+                                                          argv, kept):
+        gt, pred, train = eval_files
+        loaded, load = [], DecompositionTable.load.__func__
+
+        def recording(cls, *args, **kwargs):
+            loaded.append(load(cls, *args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(DecompositionTable, "load", classmethod(recording))
+        argv = [arg.format(gt=gt, pred=pred, train=train) for arg in argv]
+        code, _, err = run(capsys, *argv, "--table", str(sample_table_path))
+        assert (code, err) == (0, "")
+        assert [table.chars() for table in loaded] == [list(kept)]
+
     @pytest.mark.parametrize("role, line", [("--table", "{}\t⿰ 女 子\n"), ("--charset", "{}\n"),
                                             ("--gt", "{}\t好\n"), ("--pred", "{}\t好\n")])
     def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path, sample_table_path, role,

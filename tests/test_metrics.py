@@ -2,6 +2,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,6 +14,7 @@ from helpers import (
     random_text,
     random_tree,
 )
+from radtree import metrics
 from radtree.errors import DuplicateEntry, EmptyCorpus, MalformedLine, MissingId
 from radtree.metrics import (
     DEFAULT_BUCKETS,
@@ -181,6 +183,52 @@ class TestAlign:
         assert align("a", "ba") == [EditOp(INSERT, None, 0), EditOp(MATCH, 0, 1)]
         assert align("ab", "") == [EditOp(DELETE, 0, None), EditOp(DELETE, 1, None)]
         assert align("", "ab") == [EditOp(INSERT, None, 0), EditOp(INSERT, None, 1)]
+
+
+class TestCheckpointedEdits:
+    """_edits holds its DP rows in blocks; every block size gives the same edits."""
+
+    @staticmethod
+    def pairs(rng):
+        # Two- to four-letter alphabets make ties common; empty sides included.
+        for alphabet in ("ab", "abc", "abcd"):
+            for _ in range(120):
+                a = random_text(rng, alphabet, 30)
+                b = random_text(rng, alphabet, 30) if rng.random() < 0.5 else edited(
+                    rng, a, 0.3, alphabet)
+                yield a, b
+            for _ in range(4):
+                a = random_text(rng, alphabet, 200, 100)
+                yield a, edited(rng, a, 0.3, alphabet)
+        yield from (("", ""), ("ab", ""), ("", "ab"), ("a", "b"))
+
+    def test_forced_block_sizes_give_the_same_edits(self, monkeypatch):
+        for a, b in self.pairs(random.Random(1803)):
+            want = _edits(a, b)
+            assert list(reversed(want)) == [op for op in brute_align(a, b) if op[0] != MATCH]
+            for size in (1, 2, 3, 7, max(1, isqrt(len(a)))):
+                monkeypatch.setattr(metrics, "_BLOCK_ROWS", size)
+                assert _edits(a, b) == want, (a, b, size)
+            monkeypatch.setattr(metrics, "_BLOCK_ROWS", None)
+
+    def test_a_large_row_table_is_read_in_blocks_of_about_sqrt_rows(self, monkeypatch):
+        pairs = list(self.pairs(random.Random(1804)))
+        want = [_edits(a, b) for a, b in pairs]
+        monkeypatch.setattr(metrics, "_WHOLE_TABLE_BITS", 0)  # every table counts as large
+        assert [_edits(a, b) for a, b in pairs] == want
+
+    def test_memory_is_bounded_on_a_long_pair_that_differs_throughout(self):
+        # All 20,001 DP rows of this pair take about 110 MB; 2·√20,000 of them about 1 MB.
+        rng = random.Random(1805)
+        a, b = (random_text(rng, "abcd", 20000, 20000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            edits = _edits(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert len(edits) == levenshtein(a, b) > 8000
 
 
 class TestBuckets:
@@ -405,6 +453,30 @@ class TestEvaluate:
             assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope, spec)
             assert all(row["count"] for row in report.occn_buckets.values())
             assert all(row["count"] for row in report.rssl_buckets.values())
+
+    @pytest.mark.parametrize("scope", ["all", "aligned"])
+    def test_a_table_keeping_the_texts_chars_gives_the_full_tables_report(self, tmp_path,
+                                                                          scope):
+        # The kept table is loaded as the CLI loads it.  The texts use 40 of the 60
+        # tabulated chars and the untabulated "x", "y" and "@"; some gt ids have no
+        # prediction, and an extra prediction id holds chars of the other 20 only.
+        rng = random.Random(1807)
+        chars = [chr(0x4E00 + n) for n in range(60)]
+        path = tmp_path / "table.tsv"
+        DecompositionTable({c: random_tree(rng, max_depth=4) for c in chars}).save(path)
+        full = DecompositionTable.load(path)
+        alphabet = "".join(chars[:40]) + "xy@"
+        for _ in range(10):
+            gt = {f"s{i}": random_text(rng, alphabet, 12) for i in range(30)}
+            pred = {k: edited(rng, v, rng.choice((0.0, 0.3, 0.8)), alphabet)
+                    for k, v in gt.items() if rng.random() > 0.1}
+            pred["not-in-gt"] = random_text(rng, "".join(chars[40:]), 4, 1)
+            kept = DecompositionTable.load(path, keep=set().union(*gt.values(), *pred.values()))
+            assert len(kept) < len(full)
+            occn = {c: rng.randint(0, 150) for c in alphabet[::2]}
+            for table in (kept, full):
+                report = evaluate(gt, pred, table, occn=occn, treesim_scope=scope).to_dict()
+                assert report == evaluate_oracle(gt, pred, full, occn, scope)
 
     def test_scope_validation(self, sample_table):
         with pytest.raises(ValueError):

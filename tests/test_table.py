@@ -370,3 +370,91 @@ class TestShapeCache:
         assert str(caught.value) == f"{path}:3: {message}"
         with pytest.raises(type(caught.value.__cause__), match=f"^{re.escape(message)}$"):
             parse_sequence(bad.split(), ArityTable.default())
+
+
+class TestKeep:
+    """``load(keep=...)`` stores only the kept entries and checks every line alike."""
+
+    def test_kept_entries_are_those_of_a_full_load(self, tmp_path):
+        rng = random.Random(1801)
+        # Neighbouring code points share a byte of the dropped-key bit set.
+        pool = [chr(0x4E00 + n) for n in range(200)] + ["é", "𠀀", "𠀁", "\U0010FFFF"]
+        path = tmp_path / "table.tsv"
+        for _ in range(60):
+            keys = rng.sample(pool, rng.randint(0, 80))
+            DecompositionTable({k: random_tree(rng, max_depth=4) for k in keys}).save(path)
+            full = DecompositionTable.load(path)
+            keep = set(rng.sample(pool, rng.randint(0, len(pool)))) | {"@", "xy"}
+            kept = DecompositionTable.load(path, keep=keep)
+            assert kept.chars() == [c for c in full.chars() if c in keep]
+            for char in pool:
+                if char in keep:
+                    assert kept.tokens(char) == full.tokens(char)
+                    assert kept._preorder(char) == full._preorder(char)
+                else:
+                    assert char not in kept
+                    assert kept.tokens(char) == (char,)
+                    assert kept._preorder(char) == ((char,), (0,), [1])
+
+    def test_keep_none_and_every_key_store_the_whole_table(self, sample_table_path):
+        full = DecompositionTable.load(sample_table_path)
+        for keep in (None, set(full.chars()), full.chars()):
+            table = DecompositionTable.load(sample_table_path, keep=keep)
+            assert table.chars() == full.chars()
+            assert [table._preorder(c) for c in full.chars()] == [
+                full._preorder(c) for c in full.chars()]
+
+    def test_empty_keep_stores_nothing(self, sample_table_path):
+        table = DecompositionTable.load(sample_table_path, keep=set())
+        assert len(table) == 0 and table.radical_inventory() == set()
+
+    @pytest.mark.parametrize("text", [
+        "好 ⿰ 女 子\n",
+        "好\t⿰ 女\t子\n",
+        "好的\t好\n",
+        "\t好\n",
+        "好\t⿰ 女 子\n好\t好\n",
+        "好\t⿰ 女 子\n林\t⿰ 木 木\n好\t好\n",
+        "𠀀\tA\n林\t⿰ 木 木\n𠀀\tB\n",
+        "\U0010FFFF\tA\n\U0010FFFE\tA\n\U0010FFFF\tA\n",
+        "好\t\n",
+        "好\t  \n",
+        "好\t⿰ 女\n",
+        "好\t女 子\n",
+        "好\t⿰ 女 子\n\n妈\t⿰ 女\n",
+        "好\t⿰ 女 子\n林\t⿰ 木 木\n妈\t⿰ ⿰ 木\n国\t⿴ 囗 玉\n字\t⿰ ⿰ 木\n",
+        "好\t⿰ 女 子\n林\t⿰ 木 木\n妈\t女 子 马\n字\t女 子 马\n",
+        "好\t⿰ 女 子\n妈\t⿰ 女 子\n妈\t⿰ 女\n",
+    ])
+    def test_a_malformed_table_fails_alike_whatever_is_kept(self, tmp_path, text):
+        path = write(tmp_path, text)
+        keys = {line.split("\t")[0] for line in text.splitlines()}
+        with pytest.raises(RadtreeError) as full:
+            DecompositionTable.load(path)
+        rng = random.Random(text)
+        for keep in (set(), keys, {rng.choice(sorted(keys))}, keys - {rng.choice(sorted(keys))}):
+            with pytest.raises(RadtreeError) as kept:
+                DecompositionTable.load(path, keep=keep)
+            assert type(kept.value) is type(full.value)
+            assert str(kept.value) == str(full.value)
+            assert type(kept.value.__cause__) is type(full.value.__cause__)
+
+    @pytest.mark.parametrize("text, key", [
+        ("好\t⿰ 女 子\n林\t⿰ 木 木\n𠀀\tA\n好\t好\n𠀀\tB\n", "好"),
+        ("好\t⿰ 女 子\n林\t⿰ 木 木\n𠀀\tA\n𠀀\tB\n", "𠀀"),  # above U+FFFF
+    ])
+    def test_a_duplicate_of_a_dropped_key_is_named(self, tmp_path, text, key):
+        path = write(tmp_path, text)
+        with pytest.raises(DuplicateEntry) as caught:
+            DecompositionTable.load(path, keep={"林"})
+        assert str(caught.value) == f"{path}:4: duplicate entry for {key!r}"
+
+    def test_a_file_that_is_not_utf8_fails_alike(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes("好\t⿰ 女 子\n".encode("utf-8") + b"\xe5\xa5\n")
+        messages = set()
+        for keep in (None, set(), {"好"}):
+            with pytest.raises(MalformedLine) as caught:
+                DecompositionTable.load(path, keep=keep)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
