@@ -9,7 +9,7 @@ representable.
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import Collection, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
@@ -17,7 +17,7 @@ from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, 
 from .treesim import _subtree_ends
 
 
-def _shape(seen: dict, tokens: tuple[str, ...], counts: tuple[int, ...]) -> tuple:
+def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
     """``(counts, subtree ends)``, one per distinct shape in ``seen``, checked when new."""
     shape = seen.get(counts)
     if shape is None:
@@ -63,40 +63,34 @@ class DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry.
 
         With ``keep``, only the entries whose key is in it are stored, and any
-        other character looks untabulated.  Every line is still checked alike,
-        so a table loads, or fails with the same error, whatever ``keep``
-        holds; a bit set of one bit per code point marks the dropped keys and
-        so catches their duplicates.
+        other character looks untabulated.  Every line is checked alike, so a
+        table loads, or fails with the same error, whatever ``keep`` holds; a
+        bit set of one bit per code point marks every key read and so catches
+        every duplicate.
         """
         table = cls(arities=arities)
         entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
         canon = {}  # token -> its first string, so a table holds one str per distinct token
-        dropped = None if keep is None else bytearray(0x110000 >> 3)
+        read = bytearray(0x110000 >> 3)
         for lineno, line in numbered_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
             char, seq = two_fields(path, lineno, line, "<char><TAB><token sequence>")
             if len(char) != 1:
                 raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
-            kept = keep is None or char in keep
-            if kept:
-                duplicate = char in entries
-            else:
-                code = ord(char)
-                duplicate = dropped[code >> 3] >> (code & 7) & 1
-                dropped[code >> 3] |= 1 << (code & 7)
-            if duplicate:
+            byte, bit = ord(char) >> 3, 1 << (ord(char) & 7)
+            if read[byte] & bit:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
-            parts = seq.split()
-            if not parts:
+            read[byte] |= bit
+            tokens = seq.split()
+            if not tokens:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
-            tokens = tuple(map(canon.setdefault, parts, parts)) if kept else parts
             try:  # split() leaves no empty token, so an equal shape passes alike
                 shape = _shape(seen, tokens, table.arities.child_counts(tokens))
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-            if kept:
-                entries[char], shapes[char] = tokens, shape
+            if keep is None or char in keep:
+                entries[char], shapes[char] = tuple(map(canon.setdefault, tokens, tokens)), shape
         return table
 
     def save(self, path) -> None:

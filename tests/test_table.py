@@ -449,6 +449,22 @@ class TestKeep:
             DecompositionTable.load(path, keep={"林"})
         assert str(caught.value) == f"{path}:4: duplicate entry for {key!r}"
 
+    def test_keys_at_the_bit_sets_edges_and_sharing_its_bytes(self, tmp_path):
+        # U+0000 and U+0007 share the first byte, U+0008 opens the next; 好 and
+        # U+597E share a byte; U+10FFFF is the last bit.
+        keys = ["\x00", "\x07", "\x08", "好", chr(ord("好") + 1), "\U0010FFFF"]
+        text = "".join(f"{key}\t⿰ 女 子\n" for key in keys)
+        path = write(tmp_path, text)
+        for keep in (None, set(), set(keys)):
+            table = DecompositionTable.load(path, keep=keep)
+            assert table.chars() == ([] if keep == set() else keys)
+        for key in keys:
+            path = write(tmp_path, f"{text}{key}\t女\n")
+            for keep in (None, set(), set(keys)):
+                with pytest.raises(DuplicateEntry) as caught:
+                    DecompositionTable.load(path, keep=keep)
+                assert str(caught.value) == f"{path}:{len(keys) + 1}: duplicate entry for {key!r}"
+
     def test_a_file_that_is_not_utf8_fails_alike(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_bytes("好\t⿰ 女 子\n".encode("utf-8") + b"\xe5\xa5\n")
