@@ -15,9 +15,9 @@ every positively weighted position is predicted one-hot correct.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring
 from math import fsum, inf, isfinite, log
 from numbers import Integral, Real
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -180,7 +180,7 @@ class TargetRecord(NamedTuple):
 
 
 # An export line: _HEAD (char, tokens, their indices), then its shape's _TAIL (EOS, PADs, weights).
-_HEAD, _TAIL = '{"char": %s, "tokens": [%s], "indices": [%s', '%s], "weights": %s}\n'
+_HEAD, _TAIL = '{"char": %s, "tokens": [%s], "indices": [%s', '%s], "weights": [%s, 1.0%s]}\n'
 
 
 def export_targets(charset: Iterable[str], table: DecompositionTable,
@@ -203,16 +203,19 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
 
 def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
                  mode: str, lam, vocab: RadicalVocab) -> Iterator[str]:
-    """Per ``export_targets`` record, ``json.dumps(record.to_json_dict(), ensure_ascii=False)``
-    and a newline, streamed from the plan; floats are shortest round-trip, so identical inputs
-    give identical bytes.  Every check passes before this returns: a failure writes nothing."""
+    """Per ``export_targets`` record, two strings that join to ``json.dumps(record.to_json_dict(),
+    ensure_ascii=False)`` and a newline: its head, then its shape's ASCII tail (one object per
+    shape), which a UTF-8 text file writes unencoded.  Floats are shortest round-trip, so
+    identical inputs give identical bytes.  Every check passes before this returns: a failure
+    writes nothing."""
     chars = list(charset)
     plan, _ = _plan(chars, table, max_len, mode, lam, vocab)
     token_json = {token: encode_basestring(token) for token in vocab.tokens}
     index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
-    return (_HEAD % (encode_basestring(char), ", ".join(map(token_json.__getitem__, tokens)),
-                     ", ".join(map(index_text.__getitem__, tokens))) + tail
-            for char, tokens, (_, tail) in zip(chars, map(table.tokens, chars), plan))
+    return chain.from_iterable(
+        (_HEAD % (encode_basestring(char), ", ".join(map(token_json.__getitem__, tokens)),
+                  ", ".join(map(index_text.__getitem__, tokens))), tail)
+        for char, tokens, (_, tail) in zip(chars, map(table.tokens, chars), plan))
 
 
 def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, lam,
@@ -226,12 +229,14 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
     root path, so a tree's shape decides its weight row (data weights, 1.0,
     0.0 ...), its length and so its line tail (the EOS/PAD indices and the
     row as JSON): each is made and checked once per distinct shape, and the
-    characters of one shape share one entry object.
+    characters of one shape share one entry object.  A weight's text is
+    json's for a finite float, ``repr(num / den)``, made once per distinct
+    ``(num, den)``.
     """
     ratios = _export_ratios(mode, lam, max_len)
     if vocab is None:
         vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
-    known, dumps = set(vocab.tokens), json.JSONEncoder(ensure_ascii=False).encode
+    known, texts = set(vocab.tokens), {}
     shapes: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
     plan = []
     for char in chars:
@@ -242,8 +247,11 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
             if pad < 0:
                 raise SequenceTooLong(f"character {char!r} needs length {len(tokens) + 1} "
                                       f"(rssl {len(tokens)} + EOS) but max_len is {max_len}")
-            row = (*(num / den for num, den in ratios((tokens, counts, ends))), 1.0, *[0.0] * pad)
-            tail = _TAIL % (f", {EOS_INDEX}" + f", {PAD_INDEX}" * pad, dumps(row))
+            weights = ratios((tokens, counts, ends))
+            texts.update((w, repr(w[0] / w[1])) for w in weights if w not in texts)
+            row = (*(num / den for num, den in weights), 1.0, *[0.0] * pad)
+            tail = _TAIL % (f", {EOS_INDEX}" + f", {PAD_INDEX}" * pad,
+                            ", ".join(map(texts.__getitem__, weights)), ", 0.0" * pad)
             entry = shapes[counts] = row, tail
         if not known.issuperset(tokens):
             vocab.encode(tokens)  # raises UnknownToken for the first missing token

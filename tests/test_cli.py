@@ -463,6 +463,31 @@ class TestExportTargets:
         assert out_path.read_bytes() == expected.encode("utf-8")
         assert len(expected.splitlines()) == len(self.CHARSET)
 
+    @pytest.mark.parametrize("mode", ["naive", "treesim"])
+    @pytest.mark.parametrize("lam", ["0", "0.1", "1e-300", "1e300"])
+    def test_output_equals_json_dumps_at_edge_lambdas(self, capsys, tmp_path, mode, lam):
+        self.test_output_equals_json_dumps_of_export_targets(capsys, tmp_path, mode, lam)
+
+    def test_closed_pipe_exits_3_with_one_line(self, tmp_path):
+        rng = random.Random(1107)
+        trees = [random_tree(rng, max_depth=4) for _ in range(600)]
+        table_path = tmp_path / "table.tsv"
+        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        max_len = str(max(len(to_preorder(t)) for t in trees) + 1)
+        argv = [sys.executable, "-m", "radtree.cli", "export-targets", "--from-table",
+                "--table", str(table_path), "--max-len", max_len]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        whole = subprocess.run(argv, env=env, check=True, capture_output=True).stdout
+        assert len(whole) > 1 << 16  # more than a pipe buffer holds
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(100) == whole[:100]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (3, b"radtree: io error: [Errno 32] Broken pipe\n")
+
     def test_too_long_in_the_middle_of_the_charset_writes_no_file(self, capsys, tmp_path,
                                                                    sample_table_path):
         charset = tmp_path / "charset.txt"

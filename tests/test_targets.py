@@ -305,6 +305,48 @@ class TestShapeRows:
                 write_lines(path, export_lines(charset, tab, max_len, mode, 1, vocab))
                 assert path.read_bytes() == dumps_lines(records).encode("utf-8")
 
+    LAMS = (0, 0.1, Fraction(1, 3), 1e-300, 1e300, 2 ** 70)
+
+    def test_joined_pieces_equal_json_dumps_at_every_lambda(self, table):
+        rng = random.Random(200)
+        pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
+        trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
+        chars = [chr(0x4E00 + i) for i in range(len(trees))]
+        big = DecompositionTable(dict(zip(chars, trees)))
+        max_len = max(rssl(t) for t in trees) + 3
+        for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
+            vocab = build_vocab(tab, extra_tokens=[c for c in charset if c not in tab])
+            for lam in self.LAMS:
+                for mode in ("naive", "treesim"):
+                    records = export_targets(charset, tab, max_len, mode, lam)
+                    joined = "".join(export_lines(charset, tab, max_len, mode, lam, vocab))
+                    assert joined == dumps_lines(records)
+
+    def test_export_lines_yields_a_head_and_its_shapes_ascii_tail(self, table):
+        chars = [*self.ROWS, "@", '"', "甲"]
+        vocab = build_vocab(table, extra_tokens=["@", '"'])
+        pieces = list(export_lines(chars, table, 8, "treesim", 1, vocab))
+        assert len(pieces) == 2 * len(chars) and all(type(p) is str for p in pieces)
+        lines = dumps_lines(export_targets(chars, table, 8, "treesim")).splitlines(keepends=True)
+        assert [head + tail for head, tail in zip(pieces[::2], pieces[1::2])] == lines
+        tail = dict(zip(chars, pieces[1::2]))
+        assert all(t.isascii() for t in tail.values())
+        assert not all(head.isascii() for head in pieces[::2])
+        assert tail["甲"] is tail["乙"] is tail["戊"]  # child counts (2, 0, 0)
+        assert tail["己"] is tail["@"] is tail['"']
+        assert tail["丙"] is not tail["丁"]
+        assert pieces[-1] is tail["甲"]
+
+    def test_export_lines_raises_before_yielding_a_piece(self, table):
+        chars = [*self.ROWS, "@"]  # 丙 and 丁 need length 6; the characters before fit in 4
+        vocab = build_vocab(table, extra_tokens=["@"])
+        with pytest.raises(SequenceTooLong, match="^character '丙' needs length 6"):
+            export_lines(chars, table, 4, "treesim", 1, vocab)
+        with pytest.raises(UnknownToken, match="^token '@' is not in the vocabulary$"):
+            export_lines(chars, table, 8, "treesim", 1, build_vocab(table))
+        with pytest.raises(ValueError, match="lambda"):
+            export_lines(chars, table, 8, "treesim", float("nan"), vocab)
+
 
 class TestWeightedCe:
     def test_one_hot_correct_is_zero(self):
