@@ -14,9 +14,7 @@ from .metrics import (
     OCCN_BUCKETS,
     RSSL_BUCKETS,
     BucketSpec,
-    EditOp,
     EvalReport,
-    align,
     bucket_occn,
     bucket_rssl,
     evaluate,
@@ -60,7 +58,6 @@ __all__ = [
     "DecompositionTable",
     "EOS_INDEX",
     "EOS_TOKEN",
-    "EditOp",
     "EvalReport",
     "OCCN_BUCKETS",
     "PAD_INDEX",
@@ -70,7 +67,6 @@ __all__ = [
     "RadicalVocab",
     "RadtreeError",
     "TargetRecord",
-    "align",
     "bucket_occn",
     "bucket_rssl",
     "build_vocab",

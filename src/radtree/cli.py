@@ -67,6 +67,7 @@ def _write(path, lines) -> None:
     if path is not None:
         write_lines(path, lines)
     else:
+        sys.stdout.reconfigure(encoding="utf-8", errors="strict")  # as -o writes, any env
         sys.stdout.writelines(lines)
 
 

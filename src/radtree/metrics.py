@@ -25,7 +25,6 @@ from .table import DecompositionTable
 from .textio import numbered_lines, two_fields
 from .treesim import _matched_denominators
 
-MATCH = "match"
 SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
@@ -37,14 +36,6 @@ OCCN_BUCKETS = ("head", "mid", "low", "tail")
 # a row table under _WHOLE_TABLE_BITS bits (2·len(pred) per row), else about √len(gt).
 _BLOCK_ROWS: int | None = None
 _WHOLE_TABLE_BITS = 1 << 22
-
-
-class EditOp(NamedTuple):
-    """One alignment step; indices refer to the ground truth and prediction."""
-
-    kind: str
-    gt_index: int | None = None
-    pred_index: int | None = None
 
 
 def _pred_masks(pred: str) -> tuple[dict[str, int], int]:
@@ -110,9 +101,11 @@ def _trim(a: str, b: str) -> tuple[str, str]:
 
 
 def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
-    """The substitutions, deletions and insertions of align's traceback as
-    ``(kind, gt_index, pred_index)``, last first.
+    """The substitutions, deletions and insertions of one optimal alignment
+    as ``(kind, gt_index, pred_index)``, last first.
 
+    Ties resolve match/substitute first, then delete, then insert; the gaps
+    between the edits are the matches, so the edits fix the whole alignment.
     The walk steps over matches without recording them and stops once the
     distance left is 0, where only matches remain.  The DP rows come in
     blocks of ``size``: the forward pass keeps the first row of each block
@@ -164,25 +157,6 @@ def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
     elif not i:
         edits.extend((INSERT, None, k) for k in range(j - 1, -1, -1))
     return edits
-
-
-def align(gt: str, pred: str) -> list[EditOp]:
-    """One optimal-cost alignment via traceback.
-
-    Ties at equal cost resolve match/substitute first, then delete, then
-    insert, so the result is deterministic.  The edits come from _edits; the
-    runs between them are matches.
-    """
-    ops: list[EditOp] = []
-    i = j = 0  # the next gt and pred positions
-    for kind, gt_index, pred_index in reversed(_edits(gt, pred)):
-        run = gt_index - i if gt_index is not None else pred_index - j
-        ops.extend(EditOp(MATCH, i + k, j + k) for k in range(run))
-        i += run + (kind != INSERT)
-        j += run + (kind != DELETE)
-        ops.append(EditOp(kind, gt_index, pred_index))
-    ops.extend(EditOp(MATCH, i + k, j + k) for k in range(len(gt) - i))
-    return ops
 
 
 class _BucketBounds(NamedTuple):

@@ -33,24 +33,21 @@ class DecompositionTable:
     counts and subtree ends, checked and computed once per distinct shape and
     shared); ``load`` fills these two dicts of an empty table line by line
     and stores each distinct token string once, shared by every entry.
-    A character's tree is built on its first lookup and then kept.
+    The table holds no tree: ``lookup`` builds a fresh one on each call.
     ``tokens()`` serves save, the inventory, rssl and export's records;
     similarity, weights, export's plan and the CLI's ``parse`` read
     ``_preorder()``; neither builds a tree.
 
     Lookup is total: a character without an entry resolves to a synthesized
     single-leaf tree of the character itself, so every metric stays defined
-    over arbitrary text.  The entries never change after construction;
-    concurrent lookups are safe, since a race between two first lookups
-    can only build equal trees.
+    over arbitrary text.  The entries never change after construction.
     """
 
     def __init__(self, entries: dict[str, RadicalTree] | None = None,
                  arities: ArityTable | None = None):
         self.arities = arities if arities is not None else ArityTable.default()
-        self._trees = dict(entries) if entries else {}
         self._entries, self._shapes, seen = {}, {}, {}
-        for char, tree in self._trees.items():
+        for char, tree in (entries or {}).items():
             try:
                 tokens, counts = validate_tree(tree, self.arities)
             except ValueError as exc:
@@ -106,14 +103,9 @@ class DecompositionTable:
                                   for char, tokens in self._entries.items())))
 
     def lookup(self, char: str) -> RadicalTree:
-        """Stored tree if present, otherwise a single leaf of the character."""
-        tree = self._trees.get(char)
-        if tree is None:
-            tokens = self._entries.get(char)
-            if tokens is None:
-                return leaf(char)
-            tree = self._trees[char] = build_checked(tokens, self._shapes[char][0])
-        return tree
+        """A new tree of the stored entry if present, otherwise a single leaf of the character."""
+        tokens = self._entries.get(char)
+        return leaf(char) if tokens is None else build_checked(tokens, self._shapes[char][0])
 
     def tokens(self, char: str) -> tuple[str, ...]:
         """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""

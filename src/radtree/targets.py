@@ -144,8 +144,14 @@ def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
 
 
 def _export_ratios(mode: str, lam, max_len: int) -> Callable[[tuple], list[tuple[int, int]]]:
-    """_weight_ratios(mode, lam), then ValueError for ``max_len`` above MAX_LEN_LIMIT."""
+    """_weight_ratios(mode, lam), then ValueError for a treesim ``lam`` whose largest
+    weight, a lone leaf's 1 + lam, has no finite float, or ``max_len`` above MAX_LEN_LIMIT."""
     ratios = _weight_ratios(mode, lam)
+    if mode == "treesim":
+        try:
+            float(1 + Fraction(lam))
+        except OverflowError:
+            raise ValueError("lambda too large for a float: 1 + lambda overflows") from None
     if max_len > MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
     return ratios

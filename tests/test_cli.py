@@ -884,6 +884,25 @@ class TestPlumbing:
                               capture_output=True, text=True)
         assert done.stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
+    def test_stdout_bytes_do_not_depend_on_the_io_encoding(self, tmp_path):
+        # b"\xff" is no UTF-8: argv holds it as a lone surrogate, which no UTF-8 text holds.
+        src = Path(__file__).resolve().parent.parent / "src"
+        default = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        default["PYTHONPATH"] = str(src)
+        envs = [default, {**default, "PYTHONIOENCODING": "utf-8:strict"},
+                {**default, "PYTHONIOENCODING": "latin-1"}]
+        for char, want_code in (("好", 0), (b"\xff", 2)):
+            argv = [sys.executable, "-m", "radtree.cli", "parse", char, "--table",
+                    str(SAMPLE_TABLE)]
+            runs = {(done.returncode, done.stdout) for done in (
+                subprocess.run(argv, env=env, capture_output=True) for env in envs)}
+            assert len(runs) == 1, runs
+            [(code, out)] = runs
+            out_path = tmp_path / "out.json"
+            to_file = subprocess.run([*argv, "-o", str(out_path)], env=default)
+            assert code == to_file.returncode == want_code
+            assert out == (out_path.read_bytes() if code == 0 else b"")
+
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")
         assert code == 3

@@ -20,14 +20,11 @@ from radtree.metrics import (
     DEFAULT_BUCKETS,
     DELETE,
     INSERT,
-    MATCH,
     OCCN_BUCKETS,
     RSSL_BUCKETS,
     SUBSTITUTE,
     BucketSpec,
-    EditOp,
     _edits,
-    align,
     bucket_occn,
     bucket_rssl,
     evaluate,
@@ -124,45 +121,57 @@ class TestOneMinusNed:
             assert 0.0 <= v <= 1.0
 
 
+def non_matches(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
+    """brute_align's alignment without its matches, first first."""
+    return [op for op in brute_align(gt, pred) if op[0] != "match"]
+
+
 class TestAlign:
+    """_edits is the one traceback: its edits, last first, fix the alignment."""
+
     def test_all_match(self):
-        assert align("ab", "ab") == [EditOp(MATCH, 0, 0), EditOp(MATCH, 1, 1)]
+        assert _edits("ab", "ab") == []
 
     def test_leading_deletion(self):
-        assert align("ab", "b") == [EditOp(DELETE, 0, None), EditOp(MATCH, 1, 0)]
+        assert _edits("ab", "b") == [(DELETE, 0, None)]
 
     def test_trailing_insertion(self):
-        assert align("a", "ab") == [EditOp(MATCH, 0, 0), EditOp(INSERT, None, 1)]
+        assert _edits("a", "ab") == [(INSERT, None, 1)]
 
     def test_cost_equals_distance(self):
         rng = random.Random(59)
         for _ in range(300):
             a = random_text(rng, ALPHABET, 12)
             b = random_text(rng, ALPHABET, 12)
-            ops = align(a, b)
-            cost = sum(op.kind != MATCH for op in ops)
-            assert cost == levenshtein(a, b)
+            assert len(_edits(a, b)) == levenshtein(a, b)
 
-    def test_op_counts_cover_both_strings(self):
+    def test_the_gaps_between_edits_pair_up_in_order(self):
         rng = random.Random(61)
         for _ in range(100):
             a = random_text(rng, ALPHABET, 10)
             b = random_text(rng, ALPHABET, 10)
-            ops = align(a, b)
-            assert sum(op.kind != INSERT for op in ops) == len(a)
-            assert sum(op.kind != DELETE for op in ops) == len(b)
-            gt_indices = [op.gt_index for op in ops if op.gt_index is not None]
-            pred_indices = [op.pred_index for op in ops if op.pred_index is not None]
-            assert gt_indices == sorted(gt_indices) == list(range(len(a)))
-            assert pred_indices == sorted(pred_indices) == list(range(len(b)))
+            edits = _edits(a, b)
+            gt_free = sorted(set(range(len(a))) - {i for _, i, _ in edits})
+            pred_free = sorted(set(range(len(b))) - {j for _, _, j in edits})
+            assert len(gt_free) == len(pred_free)
+            assert all(a[i] == b[j] for i, j in zip(gt_free, pred_free)), (a, b)
+            # Between two edits the free indices of both sides advance together.
+            i = j = 0
+            for kind, gi, pj in reversed(edits):
+                run = gi - i if gi is not None else pj - j
+                assert gt_free[:run] == list(range(i, i + run))
+                assert pred_free[:run] == list(range(j, j + run))
+                del gt_free[:run], pred_free[:run]
+                i += run + (kind != INSERT)
+                j += run + (kind != DELETE)
+            assert gt_free == list(range(i, len(a))) and pred_free == list(range(j, len(b)))
 
     def test_deterministic(self):
-        assert align("abc", "cab") == align("abc", "cab")
+        assert _edits("abc", "cab") == _edits("abc", "cab")
 
     def test_matches_brute_force_oracle(self):
         for a, b in random_pairs(random.Random(57), 300, 12):
-            ops = [(op.kind, op.gt_index, op.pred_index) for op in align(a, b)]
-            assert ops == brute_align(a, b), (a, b)
+            assert list(reversed(_edits(a, b))) == non_matches(a, b), (a, b)
 
     def test_edits_are_the_oracle_non_matches(self):
         # Two- and three-letter alphabets make ties common; empty sides included.
@@ -172,17 +181,16 @@ class TestAlign:
                 a = random_text(rng, alphabet, 12)
                 b = random_text(rng, alphabet, 12) if rng.random() < 0.5 else edited(
                     rng, a, 0.3, alphabet)
-                non_matches = [op for op in brute_align(a, b) if op[0] != MATCH]
-                assert list(reversed(_edits(a, b))) == non_matches, (a, b)
+                assert list(reversed(_edits(a, b))) == non_matches(a, b), (a, b)
 
     def test_tie_break_order(self):
         # "ab" -> "ba": substitute twice, delete+insert, or insert+delete all cost 2.
         assert brute_align("ab", "ba") == [("substitute", 0, 0), ("substitute", 1, 1)]
-        assert align("ab", "ba") == [EditOp(SUBSTITUTE, 0, 0), EditOp(SUBSTITUTE, 1, 1)]
+        assert _edits("ab", "ba") == [(SUBSTITUTE, 1, 1), (SUBSTITUTE, 0, 0)]
         # "a" -> "ba": match the a, insert the b; delete-first paths cost more.
-        assert align("a", "ba") == [EditOp(INSERT, None, 0), EditOp(MATCH, 0, 1)]
-        assert align("ab", "") == [EditOp(DELETE, 0, None), EditOp(DELETE, 1, None)]
-        assert align("", "ab") == [EditOp(INSERT, None, 0), EditOp(INSERT, None, 1)]
+        assert _edits("a", "ba") == [(INSERT, None, 0)]
+        assert _edits("ab", "") == [(DELETE, 1, None), (DELETE, 0, None)]
+        assert _edits("", "ab") == [(INSERT, None, 1), (INSERT, None, 0)]
 
 
 class TestCheckpointedEdits:
@@ -205,7 +213,7 @@ class TestCheckpointedEdits:
     def test_forced_block_sizes_give_the_same_edits(self, monkeypatch):
         for a, b in self.pairs(random.Random(1803)):
             want = _edits(a, b)
-            assert list(reversed(want)) == [op for op in brute_align(a, b) if op[0] != MATCH]
+            assert list(reversed(want)) == non_matches(a, b)
             for size in (1, 2, 3, 7, max(1, isqrt(len(a)))):
                 monkeypatch.setattr(metrics, "_BLOCK_ROWS", size)
                 assert _edits(a, b) == want, (a, b, size)
@@ -349,7 +357,7 @@ class TestEvaluate:
             n = rng.randint(1, 8)
             a = random_text(rng, ALPHABET, n, n)
             b = random_text(rng, ALPHABET, n, n)
-            if any(op.kind in (DELETE, INSERT) for op in align(a, b)):
+            if any(kind != SUBSTITUTE for kind, _, _ in _edits(a, b)):
                 continue
             checked += 1
             report = evaluate({"1": a}, {"1": b}, sample_table)
@@ -490,7 +498,7 @@ class TestTrimmedAlignment:
             "same": "same", "ab": "", "": "ab", "abab": "baba"}
 
     @staticmethod
-    def recorded_align(monkeypatch):
+    def recorded_edits(monkeypatch):
         calls = []
 
         def recording(gt_text, pred_text):
@@ -508,7 +516,7 @@ class TestTrimmedAlignment:
                 assert gt_text[0] != pred_text[0] and gt_text[-1] != pred_text[-1]
 
     def test_align_receives_only_the_middle(self, sample_table, monkeypatch):
-        calls = self.recorded_align(monkeypatch)
+        calls = self.recorded_edits(monkeypatch)
         gt = {"aab": "aab", "cut": "xx", "equal": "好妈林", "mid": "abcXdef", "missing": "ab",
               "rep": "abca"}
         pred = {"aab": "ab", "cut": "x", "equal": "好妈林", "mid": "abcYYdef", "rep": "aca"}
@@ -518,7 +526,7 @@ class TestTrimmedAlignment:
         self.assert_trimmed(calls)
 
     def test_trivial_middles_are_not_aligned(self, sample_table, monkeypatch):
-        calls = self.recorded_align(monkeypatch)
+        calls = self.recorded_edits(monkeypatch)
         gt = {"sub": "好", "sub2": "森", "empty": "林", "missing": "妈", "ins-after": "好",
               "ins-before": "字", "ins-both": "x", "del": "好妈好", "mid-sub": "好x妈",
               "mid-del": "好林林妈", "mid-ins": "国问", "untabulated": "y"}
@@ -537,7 +545,7 @@ class TestTrimmedAlignment:
                                                    with_occn):
         # Few letters, so a cut often falls between repeats of one character.
         alphabet = "好妈林森ab"
-        calls = self.recorded_align(monkeypatch)
+        calls = self.recorded_edits(monkeypatch)
         rng = random.Random(113)
         for _ in range(20):
             shared = random_text(rng, alphabet, 24, 8)

@@ -144,12 +144,13 @@ class TestTokenEntries:
             for n in range(60)), encoding="utf-8")
         return [DecompositionTable.load(SAMPLE_TABLE), DecompositionTable.load(path), sample_table]
 
-    def test_lookup_builds_the_parsed_tree_once(self, tables):
+    def test_lookup_builds_a_fresh_parsed_tree(self, tables):
         for table in tables:
             for char in table.chars():
                 tree = table.lookup(char)
                 assert tree == parse_sequence(table.tokens(char), table.arities)
-                assert table.lookup(char) is tree
+                assert table.lookup(char) == tree
+                assert table.lookup(char) is not tree
 
     def test_token_count_is_rssl(self, tables):
         for table in tables:
@@ -202,11 +203,12 @@ class TestTokenEntries:
             assert saved.read_text(encoding="utf-8") == "".join(
                 f"{char}\t{' '.join(tokens)}\n" for char, tokens in entries)
 
-    def test_constructor_keeps_the_callers_trees(self, arities):
+    def test_constructor_keeps_trees_equal_to_the_callers(self, arities):
         trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": leaf("A")}
         table = DecompositionTable(trees, arities)
         for char, tree in trees.items():
-            assert table.lookup(char) is tree
+            assert table.lookup(char) == tree
+            assert table.lookup(char) == parse_sequence(table.tokens(char), arities)
         assert table.tokens("好") == ("⿰", "女", "子")
 
     def test_load_builds_no_tree(self, tmp_path, monkeypatch):
@@ -226,6 +228,10 @@ class TestTokenEntries:
         assert built == []
         table.lookup("森")
         assert len(built) == 5
+        for char in (*table.chars(), "@"):  # a lookup builds each node once, every call
+            for _ in range(2):
+                built.clear()
+                assert rssl(table.lookup(char)) == len(built)
 
 
 class TestInventory:

@@ -208,6 +208,22 @@ class TestExportTargets:
         with pytest.raises(ValueError, match="lambda"):
             export_targets(["森"], sample_table, 2, "treesim", -1)
 
+    def test_a_lambda_past_the_float_range_is_a_value_error(self, sample_table):
+        huge, vocab = Fraction(10 ** 400), build_vocab(sample_table)
+        for export in (export_targets, lambda *args: "".join(export_lines(*args, vocab))):
+            with pytest.raises(ValueError, match="too large for a float"):
+                export(["好"], sample_table, 5, "treesim", huge)
+            with pytest.raises(ValueError, match="too large for a float"):  # before max_len
+                export(["森"], sample_table, 2, "treesim", huge)
+            assert export(["好"], sample_table, 5, "naive", huge)  # naive ignores lambda
+        # The largest float lambda still exports: 1 + lambda rounds to a finite float.
+        # A lone leaf has node weight 1, so its data weight 1 + lambda bounds every other.
+        [leaf_record] = export_targets(["@"], sample_table, 5, "treesim", sys.float_info.max)
+        assert leaf_record.weights[0] == sys.float_info.max
+        exact = radical_weights("好", sample_table, "treesim", huge)
+        assert exact == [1 + huge / 3] * 3
+        assert sum(exact) == 3 + huge
+
     def test_weights_are_floats_of_radical_weights(self, arities):
         rng = random.Random(61)
         trees = [random_tree(rng, max_depth=5) for _ in range(40)]
