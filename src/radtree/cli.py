@@ -66,6 +66,8 @@ def _bucket_spec(args) -> BucketSpec:
 def _write(path, lines) -> None:
     if path is not None:
         write_lines(path, lines)
+    elif sys.stdout is None:  # file descriptor 1 is closed
+        raise OSError("stdout is closed")
     else:
         sys.stdout.reconfigure(encoding="utf-8", errors="strict")  # as -o writes, any env
         sys.stdout.writelines(lines)
@@ -76,31 +78,31 @@ def _emit_json(args, payload) -> None:
     _write(args.output, [json.dumps(payload, ensure_ascii=False, indent=indent) + "\n"])
 
 
-def _tree_text(tokens, counts, arities: ArityTable, indent: int | None) -> str:
+def _tree_text(tokens, ends, arities: ArityTable, indent: int | None) -> str:
     """``json.dumps`` text, as a top-level key's value, of the nested node dicts
-    ``{"symbol", "kind"[, "children"]}`` of a checked preorder sequence, written
-    in one walk without recursion: a tree may nest past the recursion limit."""
+    ``{"symbol", "kind"[, "children"]}`` of a checked preorder sequence with its
+    subtree ends, written in one walk without recursion: a tree may nest past
+    the recursion limit."""
     def nl(depth: int) -> str:  # break before an item at ``depth``; compact: "" (sep ", ")
         return "" if indent is None else "\n" + " " * (indent * depth)
 
-    out, open_nodes = [], []  # [children left to write, depth] per unfinished structure
-    for token, n in zip(tokens, counts):
-        depth = open_nodes[-1][1] + 2 if open_nodes else 1
+    out, open_ends = [], []  # the subtree end of each unfinished structure, innermost last
+    for pos, token in enumerate(tokens):
+        depth = 2 * len(open_ends) + 1
         kind = "structure" if token in arities else "radical"
         out.append(f'{{{nl(depth + 1)}"symbol": {json.dumps(token, ensure_ascii=False)},'
                    f'{nl(depth + 1) or " "}"kind": "{kind}"')
-        if n:
+        if ends[pos] > pos + 1:  # a structure: its children follow
             out.append(f',{nl(depth + 1) or " "}"children": [{nl(depth + 2)}')
-            open_nodes.append([n, depth])
+            open_ends.append(ends[pos])
             continue
         out.append(nl(depth) + "}")
-        while open_nodes:  # close each structure whose last child just closed
-            open_nodes[-1][0] -= 1
-            if open_nodes[-1][0]:
-                out.append("," + (nl(open_nodes[-1][1] + 2) or " "))
-                break
-            depth = open_nodes.pop()[1]
+        while open_ends and open_ends[-1] == pos + 1:  # close each structure ending here
+            open_ends.pop()
+            depth -= 2
             out.append(nl(depth + 1) + "]" + nl(depth) + "}")
+        if open_ends:  # the next token is a sibling at this depth
+            out.append("," + (nl(depth) or " "))
     return "".join(out)
 
 
@@ -113,16 +115,15 @@ def cmd_parse(args) -> int:
     table = _load_table(args, keep={char})  # --seq: {None}, which keeps no entry
     if args.seq is not None:
         tokens = args.seq.split()
-        counts = table.arities.child_counts(tokens)
-        check_sequence(tokens, counts)
+        ends = check_sequence(tokens, table.arities.child_counts(tokens))
         payload = {}
     else:
-        tokens, counts, _ = table._preorder(char)
+        tokens, _, ends = table._preorder(char)
         payload = {"char": char}
     indent = 2 if args.pretty else None
     payload.update(tokens=tokens, rssl=len(tokens), tree=None)  # "tree" last: its null is last
     head, _, end = json.dumps(payload, ensure_ascii=False, indent=indent).rpartition("null")
-    _write(args.output, [head + _tree_text(tokens, counts, table.arities, indent) + end + "\n"])
+    _write(args.output, [head + _tree_text(tokens, ends, table.arities, indent) + end + "\n"])
     return 0
 
 

@@ -14,15 +14,13 @@ from typing import Collection, Sequence
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
 from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, validate_tree
-from .treesim import _subtree_ends
 
 
 def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
     """``(counts, subtree ends)``, one per distinct shape in ``seen``, checked when new."""
     shape = seen.get(counts)
     if shape is None:
-        check_sequence(tokens, counts)
-        shape = seen[counts] = counts, _subtree_ends(counts)
+        shape = seen[counts] = counts, check_sequence(tokens, counts)
     return shape
 
 

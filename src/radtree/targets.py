@@ -104,9 +104,6 @@ class RadicalVocab:
         vocab._index = index
         return vocab
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def __len__(self) -> int:
         return len(self._tokens)
 

@@ -100,11 +100,6 @@ class ArityTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ArityTable):
-            return NotImplemented
-        return self._entries == other._entries
-
     def __repr__(self) -> str:
         return f"ArityTable({len(self._entries)} structures)"
 
@@ -174,26 +169,34 @@ def leaf(symbol: str) -> RadicalTree:
     return RadicalTree(symbol)
 
 
-def check_sequence(tokens: Sequence[str], counts: Sequence[int]) -> None:
-    """Check that ``tokens`` with child counts ``counts`` form exactly one tree.
+def check_sequence(tokens: Sequence[str], counts: Sequence[int]) -> list[int]:
+    """Check that ``tokens`` with child counts ``counts`` form exactly one tree,
+    and return its subtree ends: for each preorder index, the index one past
+    the end of its subtree.
 
-    One pass counts the subtrees still open: a token with n children (0 for
-    a radical) closes one and opens n.  Raises MalformedLine on an empty
-    token, Underflow if the sequence ends while a subtree is still open,
-    TrailingTokens if tokens remain after the root subtree closed.
+    One pass keeps a stack of the open subtrees, each with the children it
+    still awaits: a token with n children (0 for a radical) opens one, and a
+    subtree that awaits none closes and counts as its parent's child.  Raises
+    MalformedLine on an empty token, Underflow if the sequence ends while a
+    subtree is still open, TrailingTokens if tokens remain after the root
+    subtree closed.
     """
-    open_subtrees = 1
+    ends = [0] * len(counts)
+    open_subtrees: list[list[int]] = []  # [index, children still to come], innermost last
     for pos, n in enumerate(counts):
         if not tokens[pos]:
             raise MalformedLine(f"empty token at position {pos}")
-        open_subtrees += n - 1
-        if not open_subtrees:
-            if pos + 1 < len(tokens):
-                raise TrailingTokens(
-                    f"{len(tokens) - pos - 1} token(s) left over at position {pos + 1} "
-                    "after the tree closed"
-                )
-            return
+        open_subtrees.append([pos, n])
+        while not open_subtrees[-1][1]:
+            ends[open_subtrees.pop()[0]] = pos + 1
+            if not open_subtrees:
+                if pos + 1 < len(tokens):
+                    raise TrailingTokens(
+                        f"{len(tokens) - pos - 1} token(s) left over at position {pos + 1} "
+                        "after the tree closed"
+                    )
+                return ends
+            open_subtrees[-1][1] -= 1
     raise Underflow(
         f"sequence ended at token {len(tokens)} while a subtree was still incomplete"
     )

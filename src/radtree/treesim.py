@@ -27,26 +27,15 @@ stack, so trees of any depth work.  Results are exact Fractions; float() them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .tree import RadicalTree
-
-
-def _subtree_ends(counts: Sequence[int]) -> list[int]:
-    """For each preorder index, the index one past the end of its subtree."""
-    ends = [0] * len(counts)
-    for i in range(len(counts) - 1, -1, -1):
-        end = i + 1  # each hop passes one child subtree
-        for _ in range(counts[i]):
-            end = ends[end]
-        ends[i] = end
-    return ends
+from .tree import RadicalTree, check_sequence
 
 
 def _arrays(tree: RadicalTree) -> tuple:
     """A tree's preorder symbols, child counts and subtree ends."""
     symbols, counts = tree._shape()
-    return symbols, counts, _subtree_ends(counts)
+    return symbols, counts, check_sequence(symbols, counts)
 
 
 def _matched_denominators(a: tuple, b: tuple) -> Iterator[int]:

@@ -1,7 +1,8 @@
 """Shared test utilities: random tree generation and independent oracles.
 
 The oracles here deliberately take different routes than the library:
-a preorder sequence is parsed left to right with a stack of open nodes;
+a preorder sequence is parsed left to right with a stack of open nodes,
+and each subtree's end is found by counting open subtrees forward from it;
 similarity is scored by enumerating child-index paths and prefix-checking
 ancestors, with node weights derived from the closed-form product of
 1/(arity+1) along the root path; edit distance and alignment are the
@@ -85,6 +86,19 @@ def parse_oracle(tokens, arities: ArityTable) -> RadicalTree:
             f"{len(tokens) - pos} token(s) left over at position {pos} after the tree closed"
         )
     return node
+
+
+def subtree_ends_oracle(counts) -> list[int]:
+    """For each preorder index, the index one past the end of its subtree:
+    from that index, count the subtrees still open forward until none is."""
+    ends = []
+    for start in range(len(counts)):
+        end, open_subtrees = start, 1
+        while open_subtrees:
+            open_subtrees += counts[end] - 1
+            end += 1
+        ends.append(end)
+    return ends
 
 
 # Arity tables for the parser oracle: the default one, one with arity 3 as

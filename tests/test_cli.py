@@ -903,6 +903,20 @@ class TestPlumbing:
             assert code == to_file.returncode == want_code
             assert out == (out_path.read_bytes() if code == 0 else b"")
 
+    def test_a_closed_stdout_exits_3_with_one_line(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "radtree.cli", "parse", "好", "--table", str(SAMPLE_TABLE)]
+        closing = ["sh", "-c", '"$@" >&-', "sh"]  # runs argv with file descriptor 1 closed
+        closed = subprocess.run([*closing, *argv], env=env, capture_output=True)
+        assert (closed.returncode, closed.stderr) == (3, b"radtree: io error: stdout is closed\n")
+        out_path = tmp_path / "out.json"
+        to_file = subprocess.run([*closing, *argv, "-o", str(out_path)], env=env,
+                                 capture_output=True)
+        assert (to_file.returncode, to_file.stderr) == (0, b"")
+        whole = subprocess.run(argv, env=env, check=True, capture_output=True).stdout
+        assert out_path.read_bytes() == whole
+
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")
         assert code == 3

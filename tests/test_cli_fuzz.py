@@ -4,12 +4,15 @@ Every run must exit 0, 2 (domain error) or 3 (I/O error), and a failing
 run must print exactly one line on stderr, never a traceback.  Some argv
 are also run a second time with a tail that argparse itself rejects (a bad
 int or float, an unknown flag, a flag missing its value), which must exit
-2 the same way.  Lambda values are passed space-separated, negative ones
-included.  Accepted ``--max-len`` values stay at or below 10⁴ so padding
+2 the same way.  Every argv without ``-o`` is run again with it, which
+must exit with the same code and, on success, write stdout's bytes to the
+file.  Lambda values are passed space-separated, negative ones included.
+A lone surrogate stands for the argv byte 0xFF, which is not UTF-8.  Accepted ``--max-len`` values stay at or below 10⁴ so padding
 stays small.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,8 +42,9 @@ TEXT_FILES = {
 ODD = ("empty", "bom", "bad_utf8", "dir", "missing")
 TABLES = ("p_table", "underflow", "trailing", "duplicate", "empty_key", "empty_seq", *ODD)
 ARITIES = ("huge_arity", "empty_token_arity", "bad_arity", *ODD)
-CHARS = ("好", "@", "森", "x", "好妈", "")
-SEQS = ("⿰ A B", "⿰ A", "A B", "   ", "P a b", "⿲ A B C", "⿰  A B")
+# "\udcff" is how Python decodes the argv byte 0xFF.
+CHARS = ("好", "@", "森", "x", "好妈", "", "\udcff")
+SEQS = ("⿰ A B", "⿰ A", "A B", "   ", "P a b", "⿲ A B C", "⿰  A B", "⿰ \udcff B")
 LAMBDAS = ("1", "0", "0.5", "-1", "1e308", "nan", "inf", "-inf", "-nan", "-1e3", "-Infinity")
 RSSL_SPECS = ("4,7", "4", "a,b", ",", "7,4", "0,1", "1,2,3")
 OCCN_SPECS = ("100,50,20", "1,2", "x", "20,50,100", "0,0,0")
@@ -67,6 +71,7 @@ def files(tmp_path):
     paths["missing"] = tmp_path / "missing"
     paths["out"] = tmp_path / "out"
     paths["out_in_missing_dir"] = tmp_path / "no_such_dir" / "out"
+    paths["stdout_copy"] = tmp_path / "stdout_copy"
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -174,11 +179,18 @@ def test_exit_codes_and_one_line_errors(command, files, capsys):
     for _ in range(60):
         argv = COMMANDS[command](rng, files)
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 2, 3), argv
         if code:
             assert_one_line(err, argv)
         codes.add(code)
+        if "-o" not in argv:  # the same run, writing to a file instead of stdout
+            copy = Path(files["stdout_copy"])
+            copy.unlink(missing_ok=True)
+            assert main([*argv, "-o", str(copy)]) == code, argv
+            capsys.readouterr()
+            if code == 0:
+                assert out.encode("utf-8") == copy.read_bytes(), argv
         if reject.random() < 0.15:  # an extra run of the same argv with a rejected tail
             tailed = argv + reject.choice(REJECTED_TAILS)
             assert exit_code(tailed) == 2, tailed

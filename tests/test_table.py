@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import parse_cases, parse_oracle, random_tree
+from helpers import parse_cases, parse_oracle, random_tree, subtree_ends_oracle
 from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TableParseError
 from radtree.metrics import evaluate
 from radtree.table import DecompositionTable
@@ -12,13 +12,14 @@ from radtree.targets import export_targets, radical_weights
 from radtree.tree import (
     ArityTable,
     RadicalTree,
+    check_sequence,
     iter_preorder,
     leaf,
     parse_sequence,
     rssl,
     to_preorder,
 )
-from radtree.treesim import _subtree_ends as subtree_ends, char_sim
+from radtree.treesim import char_sim
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
@@ -193,7 +194,7 @@ class TestTokenEntries:
                 stored = table.tokens(char)
                 assert stored == tuple(tokens)
                 counts = table.arities.child_counts(stored)
-                assert table._preorder(char) == (stored, counts, subtree_ends(counts))
+                assert table._preorder(char) == (stored, counts, subtree_ends_oracle(counts))
                 for token in stored:
                     assert first.setdefault(token, token) is token
                 occurrences += len(stored)
@@ -320,11 +321,11 @@ class TestShapeCache:
     def test_subtree_ends_once_per_distinct_shape_per_table(self, tmp_path, monkeypatch):
         seen = []
 
-        def counting(counts):
+        def counting(tokens, counts):
             seen.append(counts)
-            return subtree_ends(counts)
+            return check_sequence(tokens, counts)
 
-        monkeypatch.setattr("radtree.table._subtree_ends", counting)
+        monkeypatch.setattr("radtree.table.check_sequence", counting)
         tables = self.make_tables(tmp_path)
         for table in tables:
             self.use_every_entry(table)
@@ -338,7 +339,7 @@ class TestShapeCache:
             for char in table.chars():
                 tokens, counts, ends = table._preorder(char)
                 assert counts == table.arities.child_counts(tokens)
-                assert ends == subtree_ends(counts)
+                assert ends == subtree_ends_oracle(counts)
                 assert by_shape.setdefault(counts, counts) is counts
             assert len(by_shape) < len(table)
         assert tables[0]._preorder("好")[1] is tables[0]._preorder("林")[1]

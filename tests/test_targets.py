@@ -14,6 +14,7 @@ from helpers import dumps_lines, random_tree, weighted_ce_oracle
 from radtree.errors import (
     DuplicateEntry,
     InvalidDistribution,
+    MalformedLine,
     SequenceTooLong,
     ShapeMismatch,
     UnknownToken,
@@ -93,6 +94,26 @@ class TestVocab:
         path.write_text(f"{PAD_TOKEN}\t0\n{EOS_TOKEN}\t1\n{PAD_TOKEN}\t2\n", encoding="utf-8")
         with pytest.raises(DuplicateEntry, match=r"vocab\.tsv:3: duplicate token '<pad>'"):
             RadicalVocab.load(path)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("<pad>\t0\n<eos>\tone\n", MalformedLine, "vocab.tsv:2: index 'one' is not an integer"),
+        ("<pad>\t0\n<eos>\t1\nA\t1\n", DuplicateEntry, "vocab.tsv:3: duplicate index 1"),
+        ("<pad>\t0\n<eos>\t1\nA\t3\n", MalformedLine,
+         "vocab.tsv: indices must be contiguous from 0 and include PAD/EOS"),
+        ("<pad>\t0\n", MalformedLine,
+         "vocab.tsv: indices must be contiguous from 0 and include PAD/EOS"),
+        ("<eos>\t0\n<pad>\t1\n", MalformedLine,
+         "vocab.tsv: index 0 must be <pad> and index 1 <eos>"),
+        ("<pad>\t0\nA\t1\n<eos>\t2\n", MalformedLine,
+         "vocab.tsv: index 0 must be <pad> and index 1 <eos>"),
+    ])
+    def test_load_rejections(self, tmp_path, text, error, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as info:
+            RadicalVocab.load(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{tmp_path}{os.sep}{message}"
 
 
 class TestRadicalWeights:

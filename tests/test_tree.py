@@ -6,11 +6,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import DEFAULT_ARITIES, STRUCTURES, node, parse_cases, parse_oracle, random_tree
+from helpers import (
+    DEFAULT_ARITIES,
+    STRUCTURES,
+    node,
+    parse_cases,
+    parse_oracle,
+    random_tree,
+    subtree_ends_oracle,
+)
 from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TrailingTokens, Underflow
 from radtree.tree import (
     ArityTable,
     RadicalTree,
+    check_sequence,
     iter_preorder,
     leaf,
     parse_sequence,
@@ -54,6 +63,11 @@ class TestArityTable:
     def test_rejects_arity_below_two(self):
         with pytest.raises(ValueError):
             ArityTable({"x": 1})
+
+    def test_rejects_an_empty_token(self):
+        with pytest.raises(ValueError) as info:
+            ArityTable({"P": 2, "": 2})
+        assert str(info.value) == "empty structure token"
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "arities.tsv"
@@ -125,6 +139,23 @@ class TestParseSequence:
             for cut in range(len(tokens)):
                 with pytest.raises(Underflow):
                     parse_sequence(tokens[:cut], arities)
+
+
+class TestCheckSequence:
+    def test_returns_the_subtree_ends(self, arities):
+        tokens = ["⿳", "A", "⿰", "B", "C", "D"]
+        assert check_sequence(tokens, arities.child_counts(tokens)) == [6, 2, 5, 4, 5, 6]
+
+    def test_ends_equal_the_forward_count_oracle(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            symbols, counts = random_tree(rng, max_depth=5)._shape()
+            assert check_sequence(symbols, counts) == subtree_ends_oracle(counts)
+
+    def test_one_child_nodes_of_a_hand_built_tree(self):
+        symbols, counts = node("A", RadicalTree("B", (leaf("C"),)), leaf("D"))._shape()
+        assert counts == (2, 1, 0, 0)
+        assert check_sequence(symbols, counts) == [4, 3, 3, 4] == subtree_ends_oracle(counts)
 
 
 def outcome(parse, tokens, arities):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 from helpers import (
@@ -12,6 +13,7 @@ from helpers import (
     sim_oracle,
     subtree_at,
 )
+from radtree.errors import MalformedLine
 from radtree.table import DecompositionTable
 from radtree.tree import RadicalTree, leaf, parse_sequence, rssl, to_preorder
 from radtree.treesim import char_sim, tree_sim, tree_weights
@@ -64,6 +66,22 @@ class TestTreeWeights:
             for p, w in before.items():
                 if p != path and p[: len(path)] != path:
                     assert after[p] == w
+
+
+class TestEmptySymbol:
+    """An empty symbol is no tree: validate_tree rejects it, and so do the scores."""
+
+    @pytest.mark.parametrize("tree, position", [
+        (leaf(""), 0),
+        (node("⿰", leaf("A"), leaf("")), 2),
+        (node("⿰", node("⿱", leaf(""), leaf("B")), leaf("")), 2),
+    ])
+    def test_tree_sim_and_tree_weights_raise_malformed_line(self, tree, position):
+        message = f"^empty token at position {position}$"
+        for score in (tree_weights, lambda t: tree_sim(t, t),
+                      lambda t: tree_sim(leaf("A"), t), lambda t: tree_sim(t, leaf("A"))):
+            with pytest.raises(MalformedLine, match=message):
+                score(tree)
 
 
 class TestTreeSim:
