@@ -41,7 +41,6 @@ from .tree import (
     ArityTable,
     RadicalTree,
     iter_preorder,
-    leaf,
     parse_sequence,
     rssl,
     to_preorder,
@@ -76,7 +75,6 @@ __all__ = [
     "export_lines",
     "export_targets",
     "iter_preorder",
-    "leaf",
     "levenshtein",
     "one_minus_ned",
     "parse_sequence",

@@ -38,7 +38,7 @@ def _single_char(text: str, what: str) -> str:
 def _load_table(args, keep=None) -> DecompositionTable:
     """The ``--table`` (every line checked), holding only the entries of ``keep``
     unless it is None; an empty table without the flag."""
-    arities = ArityTable.default() if args.arities is None else ArityTable.from_file(args.arities)
+    arities = ArityTable() if args.arities is None else ArityTable.from_file(args.arities)
     if args.table is not None:  # "" too is a path, and fails as one
         return DecompositionTable.load(args.table, arities, keep=keep)
     return DecompositionTable(arities=arities)
@@ -68,9 +68,13 @@ def _write(path, lines) -> None:
         write_lines(path, lines)
     elif sys.stdout is None:  # file descriptor 1 is closed
         raise OSError("stdout is closed")
-    else:
+    elif hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8", errors="strict")  # as -o writes, any env
         sys.stdout.writelines(lines)
+    else:  # a str stream, such as io.StringIO: it takes only what -o could write
+        text = "".join(lines)
+        text.encode("utf-8")
+        sys.stdout.write(text)
 
 
 def _emit_json(args, payload) -> None:
@@ -161,22 +165,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _print_summary(report: EvalReport) -> None:
+def _summary_lines(report: EvalReport) -> list[str]:
     def fmt(value):
         return "-" if value is None else f"{value:.4f}"
 
-    print(f"lines {report.line_count}  accuracy {fmt(report.line_accuracy)}  "
-          f"1-NED {fmt(report.mean_one_minus_ned)}")
-    print(f"chars {report.char_count}  accuracy {fmt(report.char_accuracy)}  "
-          f"treesim {fmt(report.mean_treesim)}")
+    lines = [f"lines {report.line_count}  accuracy {fmt(report.line_accuracy)}  "
+             f"1-NED {fmt(report.mean_one_minus_ned)}\n",
+             f"chars {report.char_count}  accuracy {fmt(report.char_accuracy)}  "
+             f"treesim {fmt(report.mean_treesim)}\n"]
     sections = [("rssl", report.rssl_buckets)]
     if report.occn_buckets is not None:
         sections.append(("occn", report.occn_buckets))
     for label, section in sections:
-        print(f"{label:<6} {'bucket':<12} {'count':>8} {'accuracy':>9} {'treesim':>8}")
-        for name, row in section.items():
-            print(f"{'':<6} {name:<12} {row['count']:>8} "
-                  f"{fmt(row['accuracy']):>9} {fmt(row['mean_treesim']):>8}")
+        lines.append(f"{label:<6} {'bucket':<12} {'count':>8} {'accuracy':>9} {'treesim':>8}\n")
+        lines += (f"{'':<6} {name:<12} {row['count']:>8} "
+                  f"{fmt(row['accuracy']):>9} {fmt(row['mean_treesim']):>8}\n"
+                  for name, row in section.items())
+    return lines
 
 
 def cmd_eval(args) -> int:
@@ -201,7 +206,7 @@ def cmd_eval(args) -> int:
     )
     _emit_json(args, report.to_dict())
     if args.pretty and args.output is not None:
-        _print_summary(report)
+        _write(None, _summary_lines(report))
     return 0
 
 

@@ -32,9 +32,8 @@ INSERT = "insert"
 RSSL_BUCKETS = ("simple", "sub_complex", "complex")
 OCCN_BUCKETS = ("head", "mid", "low", "tail")
 
-# _edits holds DP rows in blocks: _BLOCK_ROWS rows each if set, else all rows of
-# a row table under _WHOLE_TABLE_BITS bits (2·len(pred) per row), else about √len(gt).
-_BLOCK_ROWS: int | None = None
+# _edits holds all DP rows of a row table under _WHOLE_TABLE_BITS bits
+# (2·len(pred) per row) as one block, else blocks of about √len(gt) rows.
 _WHOLE_TABLE_BITS = 1 << 22
 
 
@@ -117,7 +116,7 @@ def _edits(gt: str, pred: str) -> list[tuple[str, int | None, int | None]]:
     """
     peq, mask = _pred_masks(pred)
     i, j = len(gt), len(pred)
-    size = _BLOCK_ROWS or (i + 1 if 2 * (i + 1) * j < _WHOLE_TABLE_BITS else isqrt(i) + 1)
+    size = i + 1 if 2 * (i + 1) * j < _WHOLE_TABLE_BITS else isqrt(i) + 1
     forward = _rows(gt, peq, mask, (mask, 0))
     base = i // size * size  # the last block's first row
     rows = [None] * base
@@ -278,7 +277,7 @@ class EvalReport(NamedTuple):
 
 
 def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
-             table: DecompositionTable | None = None, *,
+             table: DecompositionTable, *,
              occn: Mapping[str, int] | None = None,
              buckets: BucketSpec = DEFAULT_BUCKETS,
              strict: bool = False,
@@ -307,8 +306,6 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
     """
     if treesim_scope not in ("all", "aligned"):
         raise ValueError(f"treesim_scope must be 'all' or 'aligned', got {treesim_scope!r}")
-    if table is None:
-        table = DecompositionTable()
     ids = sorted(gt)
     if not ids:
         raise EmptyCorpus("no ground-truth samples")

@@ -13,7 +13,7 @@ from typing import Collection, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
-from .tree import ArityTable, RadicalTree, build_checked, check_sequence, leaf, validate_tree
+from .tree import ArityTable, RadicalTree, build_checked, check_sequence, validate_tree
 
 
 def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
@@ -43,7 +43,7 @@ class DecompositionTable:
 
     def __init__(self, entries: dict[str, RadicalTree] | None = None,
                  arities: ArityTable | None = None):
-        self.arities = arities if arities is not None else ArityTable.default()
+        self.arities = arities if arities is not None else ArityTable()
         self._entries, self._shapes, seen = {}, {}, {}
         for char, tree in (entries or {}).items():
             try:
@@ -103,7 +103,7 @@ class DecompositionTable:
     def lookup(self, char: str) -> RadicalTree:
         """A new tree of the stored entry if present, otherwise a single leaf of the character."""
         tokens = self._entries.get(char)
-        return leaf(char) if tokens is None else build_checked(tokens, self._shapes[char][0])
+        return RadicalTree(char) if tokens is None else build_checked(tokens, self._shapes[char][0])
 
     def tokens(self, char: str) -> tuple[str, ...]:
         """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""

@@ -60,9 +60,6 @@ class RadicalVocab:
     def tokens(self) -> tuple[str, ...]:
         return self._tokens
 
-    def index(self, token: str) -> int:
-        return self.encode((token,))[0]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         try:
             return list(map(self._index.__getitem__, tokens))
@@ -142,13 +139,15 @@ def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
 
 def _export_ratios(mode: str, lam, max_len: int) -> Callable[[tuple], list[tuple[int, int]]]:
     """_weight_ratios(mode, lam), then ValueError for a treesim ``lam`` whose largest
-    weight, a lone leaf's 1 + lam, has no finite float, or ``max_len`` above MAX_LEN_LIMIT."""
+    weight, a lone leaf's 1 + lam, has no finite float, or ``max_len`` outside 1..MAX_LEN_LIMIT."""
     ratios = _weight_ratios(mode, lam)
     if mode == "treesim":
         try:
             float(1 + Fraction(lam))
         except OverflowError:
             raise ValueError("lambda too large for a float: 1 + lambda overflows") from None
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     if max_len > MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {max_len}")
     return ratios
@@ -172,14 +171,6 @@ class TargetRecord(NamedTuple):
     tokens: tuple[str, ...]
     indices: tuple[int, ...]
     weights: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "char": self.char,
-            "tokens": list(self.tokens),
-            "indices": list(self.indices),
-            "weights": list(self.weights),
-        }
 
 
 # An export line: _HEAD (char, tokens, their indices), then its shape's _TAIL (EOS, PADs, weights).
@@ -206,7 +197,7 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
 
 def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
                  mode: str, lam, vocab: RadicalVocab) -> Iterator[str]:
-    """Per ``export_targets`` record, two strings that join to ``json.dumps(record.to_json_dict(),
+    """Per ``export_targets`` record, two strings that join to ``json.dumps(record._asdict(),
     ensure_ascii=False)`` and a newline: its head, then its shape's ASCII tail (one object per
     shape), which a UTF-8 text file writes unencoded.  Floats are shortest round-trip, so
     identical inputs give identical bytes.  Every check passes before this returns: a failure

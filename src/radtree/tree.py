@@ -53,11 +53,6 @@ class ArityTable:
         self._entries = entries
 
     @classmethod
-    def default(cls) -> ArityTable:
-        """The twelve ideographic description characters."""
-        return cls()
-
-    @classmethod
     def from_file(cls, path) -> ArityTable:
         """Load ``<token><TAB><arity>`` lines; ``#`` lines and blanks are skipped."""
         entries: dict[str, int] = {}
@@ -77,9 +72,6 @@ class ArityTable:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate structure token {token!r}")
             entries[token] = arity
         return cls(entries)
-
-    def is_structure(self, token: str) -> bool:
-        return token in self._entries
 
     def arity(self, token: str) -> int:
         """Child count of a structure token; KeyError for radicals."""
@@ -127,10 +119,6 @@ class RadicalTree:
     def __reduce__(self):  # pickle and copy rebuild through __init__, not by assignment
         return self.__class__, (self.symbol, self.children)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     # ==, hash and repr as a frozen dataclass defines them, but from one
     # preorder walk instead of recursion, so trees of any depth work.
 
@@ -162,11 +150,6 @@ class RadicalTree:
                 if n:
                     todo.append(", ")
         return "".join(out)
-
-
-def leaf(symbol: str) -> RadicalTree:
-    """Single-node tree of one radical."""
-    return RadicalTree(symbol)
 
 
 def check_sequence(tokens: Sequence[str], counts: Sequence[int]) -> list[int]:

@@ -6,7 +6,7 @@ from radtree.tree import ArityTable, parse_sequence
 
 @pytest.fixture
 def arities():
-    return ArityTable.default()
+    return ArityTable()
 
 
 SAMPLE_ROWS = {

@@ -25,7 +25,7 @@ from radtree.errors import MalformedLine, TrailingTokens, Underflow
 from radtree.metrics import DEFAULT_BUCKETS, BucketSpec, bucket_occn, bucket_rssl
 from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
 
-DEFAULT_ARITIES = ArityTable.default()
+DEFAULT_ARITIES = ArityTable()
 STRUCTURES = sorted(token for token, _ in DEFAULT_ARITIES.items())
 STRUCTURES_BY_ARITY = {
     2: [t for t in STRUCTURES if DEFAULT_ARITIES.arity(t) == 2],
@@ -68,7 +68,7 @@ def parse_oracle(tokens, arities: ArityTable) -> RadicalTree:
         pos += 1
         if not token:
             raise MalformedLine(f"empty token at position {pos - 1}")
-        if arities.is_structure(token):
+        if token in arities:
             stack.append((token, arities.arity(token), []))
             continue
         node = RadicalTree(token)
@@ -149,7 +149,7 @@ def json_text(value, indent: int | None) -> str:
 
 def dumps_lines(records) -> str:
     """The JSON lines of export records, one ``json.dumps`` call per record."""
-    return "".join(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n" for r in records)
+    return "".join(json.dumps(r._asdict(), ensure_ascii=False) + "\n" for r in records)
 
 
 def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None = None,
@@ -157,7 +157,7 @@ def parse_output_oracle(tree: RadicalTree, arities: ArityTable, char: str | None
     """Stdout of ``radtree parse`` for ``tree``, built by walking the tree:
     ``char`` is given for a table lookup and None for ``--seq``."""
     def node_json(node) -> dict:
-        kind = "structure" if arities.is_structure(node.symbol) else "radical"
+        kind = "structure" if node.symbol in arities else "radical"
         return {"symbol": node.symbol, "kind": kind}
 
     root = node_json(tree)
@@ -245,7 +245,7 @@ def mutate(rng: random.Random, tree: RadicalTree) -> RadicalTree:
     """Relabel one random node, keeping the tree valid (arities preserved)."""
     path = rng.choice(all_paths(tree))
     target = subtree_at(tree, path)
-    if target.is_leaf:
+    if not target.children:
         choices = [s for s in LEAF_POOL if s != target.symbol]
     else:
         same_arity = STRUCTURES_BY_ARITY[len(target.children)]

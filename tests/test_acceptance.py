@@ -30,7 +30,7 @@ from radtree.cli import main
 from radtree.metrics import bucket_occn, bucket_rssl, evaluate, levenshtein
 from radtree.table import DecompositionTable
 from radtree.targets import build_vocab, radical_weights, weighted_ce
-from radtree.tree import leaf, parse_sequence, rssl, to_preorder
+from radtree.tree import RadicalTree, parse_sequence, rssl, to_preorder
 from radtree.treesim import tree_sim, tree_weights
 
 _MODULE_START = time.perf_counter()
@@ -42,12 +42,13 @@ def _report(number, description):
 
 def _random_deep_subtree(rng, depth=3):
     if depth == 0:
-        return leaf(rng.choice("VWXYZ"))
+        return RadicalTree(rng.choice("VWXYZ"))
     symbol = rng.choice(STRUCTURES)
     n = DEFAULT_ARITIES.arity(symbol)
     deep_slot = rng.randrange(n)
     children = tuple(
-        _random_deep_subtree(rng, depth - 1) if i == deep_slot else leaf(rng.choice("VWXYZ"))
+        _random_deep_subtree(rng, depth - 1) if i == deep_slot
+        else RadicalTree(rng.choice("VWXYZ"))
         for i in range(n)
     )
     return node(symbol, *children)
@@ -67,7 +68,7 @@ def test_criterion_01_weight_normalization():
 
 
 def test_criterion_02_pair_weight_anchor():
-    tree = node("⿰", leaf("A"), leaf("B"))
+    tree = node("⿰", RadicalTree("A"), RadicalTree("B"))
     assert tree_weights(tree) == [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]
     _report(2, "two-radical tree weights are exactly [1/3, 1/3, 1/3]")
 
@@ -111,7 +112,7 @@ def test_criterion_04_depth_independence():
     rng = random.Random(1004)
     for _ in range(100):
         tree = random_tree(rng, max_depth=4)
-        leaf_paths = [p for p in all_paths(tree) if subtree_at(tree, p).is_leaf]
+        leaf_paths = [p for p in all_paths(tree) if not subtree_at(tree, p).children]
         path = rng.choice(leaf_paths)
         swapped = replace_at(tree, path, _random_deep_subtree(rng))
         before = dict(zip(all_paths(tree), tree_weights(tree)))

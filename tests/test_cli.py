@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,7 +13,7 @@ from helpers import dumps_lines, json_text, parse_output_oracle, random_tree
 from radtree.cli import main
 from radtree.table import DecompositionTable
 from radtree.targets import export_targets
-from radtree.tree import ArityTable, RadicalTree, leaf, parse_sequence, to_preorder
+from radtree.tree import ArityTable, RadicalTree, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
 
@@ -66,8 +68,8 @@ class TestParse:
         path = tmp_path / "table.tsv"
         path.write_text("".join(f"{c}\t{' '.join(to_preorder(t))}\n" for c, t in zip(chars, trees)),
                         encoding="utf-8")
-        arities = ArityTable.default()
-        for char, tree in [*zip(chars, trees), ("@", leaf("@"))]:
+        arities = ArityTable()
+        for char, tree in [*zip(chars, trees), ("@", RadicalTree("@"))]:
             for pretty in (False, True):
                 flags = ["--pretty"] if pretty else []
                 code, out, err = run(capsys, "parse", char, "--table", str(path), *flags)
@@ -80,22 +82,22 @@ class TestParse:
     @pytest.mark.parametrize("depth, pretty", [(3000, False), (300, True)])
     def test_deep_entry_equals_the_tree_walk_oracle(self, capsys, tmp_path, depth, pretty):
         # The deep child alternates between first (⿰) and last (⿲) position.
-        tree = leaf("A")
+        tree = RadicalTree("A")
         for level in range(depth):
-            tree = (RadicalTree("⿰", (tree, leaf("B"))) if level % 2
-                    else RadicalTree("⿲", (leaf("C"), leaf("D"), tree)))
+            tree = (RadicalTree("⿰", (tree, RadicalTree("B"))) if level % 2
+                    else RadicalTree("⿲", (RadicalTree("C"), RadicalTree("D"), tree)))
         path = tmp_path / "deep.tsv"
         path.write_text(f"X\t{' '.join(to_preorder(tree))}\n", encoding="utf-8")
         code, out, _ = run(capsys, "parse", "X", "--table", str(path),
                            *(["--pretty"] if pretty else []))
         assert code == 0
-        assert out == parse_output_oracle(tree, ArityTable.default(), "X", pretty)
+        assert out == parse_output_oracle(tree, ArityTable(), "X", pretty)
 
     @pytest.mark.parametrize("pretty", [False, True])
     def test_structure_symbol_without_table_is_a_structure_leaf(self, capsys, pretty):
         code, out, _ = run(capsys, "parse", "⿰", *(["--pretty"] if pretty else []))
         assert code == 0
-        assert out == parse_output_oracle(leaf("⿰"), ArityTable.default(), "⿰", pretty)
+        assert out == parse_output_oracle(RadicalTree("⿰"), ArityTable(), "⿰", pretty)
         assert json.loads(out)["tree"] == {"symbol": "⿰", "kind": "structure"}
 
     def test_builds_no_tree(self, capsys, monkeypatch, sample_table_path):
@@ -110,7 +112,7 @@ class TestParse:
         for argv in (["森"], ["@"], ["--seq", "⿰ A ⿲ B C D"]):
             assert run(capsys, "parse", *argv, "--table", str(sample_table_path))[0] == 0
         assert built == []
-        parse_sequence(["⿰", "A", "B"], ArityTable.default())
+        parse_sequence(["⿰", "A", "B"], ArityTable())
         assert len(built) == 3
 
     def test_sequence_deeper_than_recursion_limit(self, capsys):
@@ -665,6 +667,9 @@ class TestPlumbing:
         (["weights", "--char", "好", "--lambda", "-1"], "lambda must be >= 0"),
         (["export-targets", "--from-table", "--max-len", "1000001"],
          "max_len must be at most 1000000, got 1000001"),
+        (["export-targets", "--from-table", "--max-len", "0"], "max_len must be at least 1, got 0"),
+        (["export-targets", "--charset", "c.txt", "--max-len", "-3"],
+         "max_len must be at least 1, got -3"),
         (["export-targets", "--from-table", "--max-len", "5", "--lambda", "nan"],
          "lambda must be a finite number, got nan"),
         (["stats", "--input", "t.txt", "--rssl-buckets", "4"],
@@ -916,6 +921,54 @@ class TestPlumbing:
         assert (to_file.returncode, to_file.stderr) == (0, b"")
         whole = subprocess.run(argv, env=env, check=True, capture_output=True).stdout
         assert out_path.read_bytes() == whole
+
+    def test_a_closed_stdout_fails_eval_summary_after_the_report_file(self, tmp_path, eval_files):
+        gt, pred, _ = eval_files
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        report = tmp_path / "report.json"
+        argv = [sys.executable, "-m", "radtree.cli", "eval", "--gt", str(gt), "--pred", str(pred),
+                "--table", str(SAMPLE_TABLE), "-o", str(report), "--pretty"]
+        closed = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *argv], env=env,
+                                capture_output=True)
+        assert (closed.returncode, closed.stderr) == (3, b"radtree: io error: stdout is closed\n")
+        written = report.read_bytes()
+        summary = subprocess.run(argv, env=env, check=True, capture_output=True).stdout
+        assert report.read_bytes() == written and summary.startswith(b"lines 2  accuracy")
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "好", "--table", str(SAMPLE_TABLE)],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "--table", str(SAMPLE_TABLE)],
+        ["eval", "--gt", "{gt}", "--pred", "{pred}", "--table", str(SAMPLE_TABLE),
+         "-o", "{gt}.report", "--pretty"],
+        ["export-targets", "--from-table", "--max-len", "8", "--table", str(SAMPLE_TABLE)],
+    ], ids=["parse", "eval", "eval-summary", "export-targets"])
+    def test_in_process_stdout_without_reconfigure_gets_the_subprocess_text(self, eval_files,
+                                                                            argv):
+        gt, pred, _ = eval_files
+        argv = [arg.format(gt=gt, pred=pred) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, "")
+        src = Path(__file__).resolve().parent.parent / "src"
+        whole = subprocess.run([sys.executable, "-m", "radtree.cli", *argv], check=True,
+                               env={**os.environ, "PYTHONPATH": str(src)},
+                               capture_output=True).stdout
+        assert out.getvalue().encode("utf-8") == whole != b""
+
+    def test_in_process_stdout_without_reconfigure_refuses_a_lone_surrogate(self):
+        # "\udcff" is how argv holds the byte 0xFF, which no UTF-8 text holds.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["parse", "\udcff", "--table", str(SAMPLE_TABLE)])
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-m", "radtree.cli", "parse", b"\xff", "--table",
+                               str(SAMPLE_TABLE)], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True)
+        assert (code, out.getvalue()) == (done.returncode, done.stdout.decode()) == (2, "")
+        assert err.getvalue().encode("utf-8") == done.stderr
+        assert err.getvalue().count("\n") == 1
 
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")

@@ -194,7 +194,7 @@ class TestAlign:
 
 
 class TestCheckpointedEdits:
-    """_edits holds its DP rows in blocks; every block size gives the same edits."""
+    """_edits holds its DP rows in blocks; a small row table is one block."""
 
     @staticmethod
     def pairs(rng):
@@ -205,22 +205,21 @@ class TestCheckpointedEdits:
                 b = random_text(rng, alphabet, 30) if rng.random() < 0.5 else edited(
                     rng, a, 0.3, alphabet)
                 yield a, b
+            for n in range(36, 49):  # blocks of isqrt(n) + 1 = 7 rows
+                a = random_text(rng, alphabet, n, n)
+                yield a, edited(rng, a, 0.3, alphabet)
             for _ in range(4):
                 a = random_text(rng, alphabet, 200, 100)
                 yield a, edited(rng, a, 0.3, alphabet)
         yield from (("", ""), ("ab", ""), ("", "ab"), ("a", "b"))
 
-    def test_forced_block_sizes_give_the_same_edits(self, monkeypatch):
+    def test_whole_table_edits_are_the_oracle_non_matches(self):
         for a, b in self.pairs(random.Random(1803)):
-            want = _edits(a, b)
-            assert list(reversed(want)) == non_matches(a, b)
-            for size in (1, 2, 3, 7, max(1, isqrt(len(a)))):
-                monkeypatch.setattr(metrics, "_BLOCK_ROWS", size)
-                assert _edits(a, b) == want, (a, b, size)
-            monkeypatch.setattr(metrics, "_BLOCK_ROWS", None)
+            assert list(reversed(_edits(a, b))) == non_matches(a, b), (a, b)
 
     def test_a_large_row_table_is_read_in_blocks_of_about_sqrt_rows(self, monkeypatch):
         pairs = list(self.pairs(random.Random(1804)))
+        assert {isqrt(len(a)) + 1 for a, _ in pairs} >= {1, 2, 3, 7}  # the block sizes met
         want = [_edits(a, b) for a, b in pairs]
         monkeypatch.setattr(metrics, "_WHOLE_TABLE_BITS", 0)  # every table counts as large
         assert [_edits(a, b) for a, b in pairs] == want

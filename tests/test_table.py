@@ -14,7 +14,6 @@ from radtree.tree import (
     RadicalTree,
     check_sequence,
     iter_preorder,
-    leaf,
     parse_sequence,
     rssl,
     to_preorder,
@@ -38,7 +37,7 @@ class TestLoad:
 
     def test_single_leaf_entry(self, tmp_path):
         table = DecompositionTable.load(write(tmp_path, "A\tA\n"))
-        assert table.lookup("A") == leaf("A")
+        assert table.lookup("A") == RadicalTree("A")
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         table = DecompositionTable.load(write(tmp_path, "# header\n\n好\t⿰ 女 子\n"))
@@ -78,7 +77,7 @@ class TestLoad:
         assert rssl(table.lookup("x")) == 3
 
     def test_invalid_direct_entry_rejected(self, arities):
-        bad = RadicalTree("⿰", (leaf("A"),))
+        bad = RadicalTree("⿰", (RadicalTree("A"),))
         with pytest.raises(ValueError):
             DecompositionTable({"x": bad}, arities)
 
@@ -121,7 +120,7 @@ class TestLookup:
         assert rssl(sample_table.lookup("森")) == 5
 
     def test_fallback_leaf_for_unknown(self, sample_table):
-        assert sample_table.lookup("@") == leaf("@")
+        assert sample_table.lookup("@") == RadicalTree("@")
         assert rssl(sample_table.lookup("@")) == 1
 
     def test_lookup_is_total(self, sample_table):
@@ -133,6 +132,10 @@ class TestLookup:
         assert "好" in sample_table
         assert "@" not in sample_table
         assert len(sample_table) == 6
+
+    def test_repr_counts_the_entries(self, sample_table):
+        assert repr(sample_table) == "DecompositionTable(6 entries)"
+        assert repr(DecompositionTable()) == "DecompositionTable(0 entries)"
 
 
 class TestTokenEntries:
@@ -205,7 +208,7 @@ class TestTokenEntries:
                 f"{char}\t{' '.join(tokens)}\n" for char, tokens in entries)
 
     def test_constructor_keeps_trees_equal_to_the_callers(self, arities):
-        trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": leaf("A")}
+        trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": RadicalTree("A")}
         table = DecompositionTable(trees, arities)
         for char, tree in trees.items():
             assert table.lookup(char) == tree
@@ -376,7 +379,7 @@ class TestShapeCache:
             DecompositionTable.load(path)
         assert str(caught.value) == f"{path}:3: {message}"
         with pytest.raises(type(caught.value.__cause__), match=f"^{re.escape(message)}$"):
-            parse_sequence(bad.split(), ArityTable.default())
+            parse_sequence(bad.split(), ArityTable())
 
 
 class TestKeep:

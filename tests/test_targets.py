@@ -54,8 +54,8 @@ class TestVocab:
 
     def test_reserved_indices(self, sample_table):
         vocab = build_vocab(sample_table)
-        assert vocab.index(PAD_TOKEN) == PAD_INDEX == 0
-        assert vocab.index(EOS_TOKEN) == EOS_INDEX == 1
+        assert vocab.encode([PAD_TOKEN])[0] == PAD_INDEX == 0
+        assert vocab.encode([EOS_TOKEN])[0] == EOS_INDEX == 1
 
     def test_data_tokens_sorted_from_two(self, sample_table):
         vocab = build_vocab(sample_table)
@@ -66,13 +66,21 @@ class TestVocab:
     def test_rebuild_is_identical(self, sample_table):
         assert build_vocab(sample_table) == build_vocab(sample_table)
 
+    def test_equality_with_another_type_is_left_to_it(self, sample_table):
+        vocab = build_vocab(sample_table)
+        assert vocab.__eq__(object()) is NotImplemented
+        assert (vocab == object()) is False and vocab != (PAD_TOKEN, EOS_TOKEN)
+
+    def test_repr_counts_the_tokens(self):
+        assert repr(RadicalVocab(["A", "B"])) == "RadicalVocab(4 tokens)"
+
     def test_unknown_token(self, sample_table):
         with pytest.raises(UnknownToken):
-            build_vocab(sample_table).index("nope")
+            build_vocab(sample_table).encode(["nope"])
 
     def test_extra_tokens(self, sample_table):
         vocab = build_vocab(sample_table, extra_tokens=["@"])
-        assert vocab.index("@") >= 2
+        assert vocab.encode(["@"])[0] >= 2
 
     def test_save_load_round_trip(self, tmp_path, sample_table):
         vocab = build_vocab(sample_table)
@@ -83,7 +91,7 @@ class TestVocab:
     def test_encode(self, sample_table):
         vocab = build_vocab(sample_table)
         tokens = to_preorder(sample_table.lookup("好"))
-        assert vocab.encode(tokens) == [vocab.index(t) for t in tokens]
+        assert vocab.encode(tokens) == [vocab.encode([t])[0] for t in tokens]
 
     def test_reserved_collision_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +199,13 @@ class TestExportTargets:
         with pytest.raises(ValueError, match=f"at most {MAX_LEN_LIMIT}, got {max_len}$"):
             export_targets(["好"], sample_table, max_len, "naive")
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_is_refused_for_any_charset(self, sample_table, max_len):
+        with pytest.raises(ValueError, match=f"^max_len must be at least 1, got {max_len}$"):
+            export_targets([], sample_table, max_len, "naive")
+        with pytest.raises(ValueError, match=f"^max_len must be at least 1, got {max_len}$"):
+            export_lines([], sample_table, max_len, "treesim", 1, build_vocab(sample_table))
+
     def test_charset_order_preserved(self, sample_table):
         records = export_targets(["妈", "好"], sample_table, 4, "naive")
         assert [r.char for r in records] == ["妈", "好"]
@@ -217,7 +232,7 @@ class TestExportTargets:
         assert len(lines) == 3
         for record, line in zip(records, lines):
             payload = json.loads(line)
-            assert payload == record.to_json_dict()
+            assert payload == json.loads(json.dumps(record._asdict()))  # tuples as arrays
             assert tuple(payload["weights"]) == record.weights
 
     def test_mode_and_lambda_checked_before_any_character(self, sample_table):

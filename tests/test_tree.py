@@ -21,7 +21,6 @@ from radtree.tree import (
     RadicalTree,
     check_sequence,
     iter_preorder,
-    leaf,
     parse_sequence,
     rssl,
     to_preorder,
@@ -30,7 +29,7 @@ from radtree.tree import (
 
 
 def leaves():
-    return st.sampled_from("ABCDE").map(leaf)
+    return st.sampled_from("ABCDE").map(RadicalTree)
 
 
 def trees(max_depth=3):
@@ -56,9 +55,12 @@ class TestArityTable:
                 assert arity == 2
 
     def test_membership_decides_kind(self, arities):
-        assert arities.is_structure("⿰")
-        assert not arities.is_structure("A")
-        assert "⿱" in arities and "木" not in arities
+        assert "⿰" in arities and "⿱" in arities
+        assert "A" not in arities and "木" not in arities
+
+    def test_repr_counts_the_structures(self, arities):
+        assert repr(arities) == "ArityTable(12 structures)"
+        assert repr(ArityTable({"P": 2})) == "ArityTable(1 structures)"
 
     def test_rejects_arity_below_two(self):
         with pytest.raises(ValueError):
@@ -102,12 +104,13 @@ class TestArityTable:
 class TestParseSequence:
     def test_single_radical_is_its_own_tree(self, arities):
         tree = parse_sequence(["A"], arities)
-        assert tree == leaf("A")
+        assert tree == RadicalTree("A")
         assert rssl(tree) == 1
 
     def test_nested_structure(self, arities):
         tree = parse_sequence(["⿰", "A", "⿱", "B", "C"], arities)
-        assert tree == node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
+        assert tree == node("⿰", RadicalTree("A"),
+                            node("⿱", RadicalTree("B"), RadicalTree("C")))
 
     def test_underflow_on_missing_child(self, arities):
         with pytest.raises(Underflow, match="^sequence ended at token 2 while a subtree"):
@@ -153,7 +156,8 @@ class TestCheckSequence:
             assert check_sequence(symbols, counts) == subtree_ends_oracle(counts)
 
     def test_one_child_nodes_of_a_hand_built_tree(self):
-        symbols, counts = node("A", RadicalTree("B", (leaf("C"),)), leaf("D"))._shape()
+        tree = node("A", RadicalTree("B", (RadicalTree("C"),)), RadicalTree("D"))
+        symbols, counts = tree._shape()
         assert counts == (2, 1, 0, 0)
         assert check_sequence(symbols, counts) == [4, 3, 3, 4] == subtree_ends_oracle(counts)
 
@@ -183,14 +187,14 @@ class TestParseOracle:
 
 class TestSerialization:
     def test_leaf(self):
-        assert to_preorder(leaf("A")) == ["A"]
+        assert to_preorder(RadicalTree("A")) == ["A"]
 
     def test_nested(self):
-        tree = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
+        tree = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("C")))
         assert to_preorder(tree) == ["⿰", "A", "⿱", "B", "C"]
 
     def test_arity_three(self):
-        tree = node("⿲", leaf("A"), leaf("B"), leaf("C"))
+        tree = node("⿲", RadicalTree("A"), RadicalTree("B"), RadicalTree("C"))
         assert to_preorder(tree) == ["⿲", "A", "B", "C"]
 
     @given(trees())
@@ -205,7 +209,7 @@ class TestSerialization:
         assert rssl(tree) == 10001
         depth = 0
         while tree.children:
-            assert tree.children[1] == leaf("A")
+            assert tree.children[1] == RadicalTree("A")
             tree = tree.children[0]
             depth += 1
         assert depth == 5000
@@ -219,11 +223,13 @@ class TestSerialization:
 
 class TestRssl:
     def test_examples(self):
-        assert rssl(leaf("A")) == 1
-        assert rssl(node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))) == 5
-        assert rssl(node("⿳", leaf("A"), leaf("B"), node("⿰", leaf("C"), leaf("D")))) == 6
-        assert rssl(node("⿰", node("⿱", leaf("A"), leaf("B")),
-                         node("⿱", leaf("C"), leaf("D")))) == 7
+        assert rssl(RadicalTree("A")) == 1
+        assert rssl(node("⿰", RadicalTree("A"),
+                         node("⿱", RadicalTree("B"), RadicalTree("C")))) == 5
+        assert rssl(node("⿳", RadicalTree("A"), RadicalTree("B"),
+                         node("⿰", RadicalTree("C"), RadicalTree("D")))) == 6
+        assert rssl(node("⿰", node("⿱", RadicalTree("A"), RadicalTree("B")),
+                         node("⿱", RadicalTree("C"), RadicalTree("D")))) == 7
 
     def test_matches_sequence_length(self):
         rng = random.Random(3)
@@ -238,10 +244,11 @@ class TestRssl:
 
 class TestValidateTree:
     def test_accepts_valid(self, arities):
-        validate_tree(node("⿰", leaf("A"), leaf("B")), arities)
+        validate_tree(node("⿰", RadicalTree("A"), RadicalTree("B")), arities)
 
     def test_returns_the_preorder_symbols_and_child_counts(self, arities):
-        tree = node("⿰", leaf("A"), node("⿲", leaf("B"), leaf("C"), leaf("D")))
+        tree = node("⿰", RadicalTree("A"),
+                    node("⿲", RadicalTree("B"), RadicalTree("C"), RadicalTree("D")))
         assert validate_tree(tree, arities) == (("⿰", "A", "⿲", "B", "C", "D"), (2, 0, 3, 0, 0, 0))
         rng = random.Random(23)
         for tree in (random_tree(rng, max_depth=4) for _ in range(50)):
@@ -249,17 +256,17 @@ class TestValidateTree:
 
     def test_rejects_wrong_child_count(self, arities):
         with pytest.raises(ValueError):
-            validate_tree(RadicalTree("⿰", (leaf("A"),)), arities)
+            validate_tree(RadicalTree("⿰", (RadicalTree("A"),)), arities)
 
     def test_rejects_radical_with_children(self, arities):
         with pytest.raises(ValueError):
-            validate_tree(RadicalTree("A", (leaf("B"), leaf("C"))), arities)
+            validate_tree(RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))), arities)
 
     @pytest.mark.parametrize("tree, message", [
-        (leaf(""), "empty symbol"),
-        (RadicalTree("⿰", (leaf("A"),)), "structure '⿰' has 1 children, expected 2"),
-        (RadicalTree("⿲", (leaf("A"),) * 4), "structure '⿲' has 4 children, expected 3"),
-        (RadicalTree("A", (leaf("B"), leaf("C"))), "radical 'A' must be a leaf"),
+        (RadicalTree(""), "empty symbol"),
+        (RadicalTree("⿰", (RadicalTree("A"),)), "structure '⿰' has 1 children, expected 2"),
+        (RadicalTree("⿲", (RadicalTree("A"),) * 4), "structure '⿲' has 4 children, expected 3"),
+        (RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))), "radical 'A' must be a leaf"),
     ])
     def test_messages(self, arities, tree, message):
         with pytest.raises(ValueError) as info:
@@ -267,16 +274,19 @@ class TestValidateTree:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("tree, message", [
-        (RadicalTree("⿰", (RadicalTree("A", (leaf("B"),)),)),
+        (RadicalTree("⿰", (RadicalTree("A", (RadicalTree("B"),)),)),
          "structure '⿰' has 1 children, expected 2"),
-        (node("⿰", RadicalTree("A", (leaf("B"),)), RadicalTree("⿱", (leaf("C"),))),
+        (node("⿰", RadicalTree("A", (RadicalTree("B"),)),
+              RadicalTree("⿱", (RadicalTree("C"),))),
          "radical 'A' must be a leaf"),
-        (node("⿰", RadicalTree("⿱", (leaf("C"),)), RadicalTree("A", (leaf("B"),))),
+        (node("⿰", RadicalTree("⿱", (RadicalTree("C"),)),
+              RadicalTree("A", (RadicalTree("B"),))),
          "structure '⿱' has 1 children, expected 2"),
-        (node("⿰", leaf(""), RadicalTree("A", (leaf("B"),))), "empty symbol"),
-        (node("⿰", RadicalTree("A", (leaf("B"),)), leaf("")), "radical 'A' must be a leaf"),
-        (node("⿰", node("⿱", leaf("X"), RadicalTree("A", (leaf(""),))),
-              RadicalTree("⿲", (leaf("C"),))),
+        (node("⿰", RadicalTree(""), RadicalTree("A", (RadicalTree("B"),))), "empty symbol"),
+        (node("⿰", RadicalTree("A", (RadicalTree("B"),)), RadicalTree("")),
+         "radical 'A' must be a leaf"),
+        (node("⿰", node("⿱", RadicalTree("X"), RadicalTree("A", (RadicalTree(""),))),
+              RadicalTree("⿲", (RadicalTree("C"),))),
          "radical 'A' must be a leaf"),
     ])
     def test_reports_the_first_violation_in_preorder(self, arities, tree, message):
@@ -305,26 +315,26 @@ class TestIdentity:
             assert hash(a) == hash(b)
 
     def test_malformed_child_counts(self):
-        one = RadicalTree("⿰", (leaf("A"),))
-        two = node("⿰", leaf("A"), leaf("B"))
-        for tree in (one, two, RadicalTree("A", (leaf("B"),))):
+        one = RadicalTree("⿰", (RadicalTree("A"),))
+        two = node("⿰", RadicalTree("A"), RadicalTree("B"))
+        for tree in (one, two, RadicalTree("A", (RadicalTree("B"),))):
             assert repr(tree) == repr(generated(tree))
-        assert one != two and one != node("⿰", node("A", leaf("B")))
-        assert RadicalTree("⿰", (leaf("A"),)) == one
+        assert one != two and one != node("⿰", node("A", RadicalTree("B")))
+        assert RadicalTree("⿰", (RadicalTree("A"),)) == one
 
     def test_immutable_and_rebuilt_by_pickle_and_copy(self):
-        tree = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
+        tree = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("C")))
         for name in ("symbol", "children", "other"):
             with pytest.raises(AttributeError):
-                setattr(tree, name, leaf("X"))
+                setattr(tree, name, RadicalTree("X"))
             with pytest.raises(AttributeError):
                 delattr(tree, name)
         for copied in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
             assert copied == tree and repr(copied) == repr(tree)
 
     def test_not_equal_to_other_types(self):
-        assert leaf("A") != "A"
-        assert leaf("A") != GeneratedTree("A")
+        assert RadicalTree("A") != "A"
+        assert RadicalTree("A") != GeneratedTree("A")
 
     def test_spine_of_ten_thousand_nodes(self, arities):
         tokens = ["⿰"] * 5000 + ["A"] * 5001
@@ -345,5 +355,5 @@ class TestIdentity:
 
 
 def test_iter_preorder_order():
-    tree = node("⿰", node("⿱", leaf("A"), leaf("B")), leaf("C"))
+    tree = node("⿰", node("⿱", RadicalTree("A"), RadicalTree("B")), RadicalTree("C"))
     assert [n.symbol for n in iter_preorder(tree)] == ["⿰", "⿱", "A", "B", "C"]

@@ -15,28 +15,28 @@ from helpers import (
 )
 from radtree.errors import MalformedLine
 from radtree.table import DecompositionTable
-from radtree.tree import RadicalTree, leaf, parse_sequence, rssl, to_preorder
+from radtree.tree import RadicalTree, parse_sequence, rssl, to_preorder
 from radtree.treesim import char_sim, tree_sim, tree_weights
 from test_tree import trees
 
 
 class TestTreeWeights:
     def test_leaf_takes_full_budget(self):
-        assert tree_weights(leaf("A")) == [Fraction(1)]
+        assert tree_weights(RadicalTree("A")) == [Fraction(1)]
 
     def test_pair_splits_into_thirds(self):
-        tree = node("⿰", leaf("A"), leaf("B"))
+        tree = node("⿰", RadicalTree("A"), RadicalTree("B"))
         assert tree_weights(tree) == [Fraction(1, 3)] * 3
 
     def test_nested_subtree_shares_again(self):
-        tree = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
+        tree = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("C")))
         assert tree_weights(tree) == [
             Fraction(1, 3), Fraction(1, 3),
             Fraction(1, 9), Fraction(1, 9), Fraction(1, 9),
         ]
 
     def test_three_children_split_into_quarters(self):
-        tree = node("⿳", leaf("A"), leaf("B"), leaf("C"))
+        tree = node("⿳", RadicalTree("A"), RadicalTree("B"), RadicalTree("C"))
         assert tree_weights(tree) == [Fraction(1, 4)] * 4
 
     @given(trees())
@@ -57,9 +57,11 @@ class TestTreeWeights:
         rng = random.Random(31)
         for _ in range(50):
             tree = random_tree(rng, max_depth=4)
-            leaf_paths = [p for p in all_paths(tree) if subtree_at(tree, p).is_leaf]
+            leaf_paths = [p for p in all_paths(tree) if not subtree_at(tree, p).children]
             path = rng.choice(leaf_paths)
-            deeper = node("⿰", leaf("X"), node("⿱", leaf("Y"), node("⿰", leaf("Z"), leaf("W"))))
+            deeper = node("⿰", RadicalTree("X"),
+                          node("⿱", RadicalTree("Y"),
+                               node("⿰", RadicalTree("Z"), RadicalTree("W"))))
             swapped = replace_at(tree, path, deeper)
             before = dict(zip(all_paths(tree), tree_weights(tree)))
             after = dict(zip(all_paths(swapped), tree_weights(swapped)))
@@ -72,14 +74,15 @@ class TestEmptySymbol:
     """An empty symbol is no tree: validate_tree rejects it, and so do the scores."""
 
     @pytest.mark.parametrize("tree, position", [
-        (leaf(""), 0),
-        (node("⿰", leaf("A"), leaf("")), 2),
-        (node("⿰", node("⿱", leaf(""), leaf("B")), leaf("")), 2),
+        (RadicalTree(""), 0),
+        (node("⿰", RadicalTree("A"), RadicalTree("")), 2),
+        (node("⿰", node("⿱", RadicalTree(""), RadicalTree("B")), RadicalTree("")), 2),
     ])
     def test_tree_sim_and_tree_weights_raise_malformed_line(self, tree, position):
         message = f"^empty token at position {position}$"
         for score in (tree_weights, lambda t: tree_sim(t, t),
-                      lambda t: tree_sim(leaf("A"), t), lambda t: tree_sim(t, leaf("A"))):
+                      lambda t: tree_sim(RadicalTree("A"), t),
+                      lambda t: tree_sim(t, RadicalTree("A"))):
             with pytest.raises(MalformedLine, match=message):
                 score(tree)
 
@@ -92,24 +95,24 @@ class TestTreeSim:
             assert tree_sim(tree, tree) == 1
 
     def test_single_substitution_in_pair(self):
-        a = node("⿰", leaf("A"), leaf("B"))
-        b = node("⿰", leaf("A"), leaf("C"))
+        a = node("⿰", RadicalTree("A"), RadicalTree("B"))
+        b = node("⿰", RadicalTree("A"), RadicalTree("C"))
         assert tree_sim(a, b) == Fraction(2, 3)
 
     def test_root_mismatch_scores_zero(self):
-        a = node("⿰", leaf("A"), leaf("B"))
-        b = node("⿱", leaf("A"), leaf("B"))
+        a = node("⿰", RadicalTree("A"), RadicalTree("B"))
+        b = node("⿱", RadicalTree("A"), RadicalTree("B"))
         assert tree_sim(a, b) == 0
 
     def test_deep_substitution(self):
-        a = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
-        b = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("D")))
+        a = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("C")))
+        b = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("D")))
         assert tree_sim(a, b) == Fraction(8, 9)
 
     def test_mismatch_prunes_whole_subtree(self):
         # Children below a substituted structure must not count even if equal.
-        a = node("⿰", leaf("A"), node("⿱", leaf("B"), leaf("C")))
-        b = node("⿰", leaf("A"), node("⿻", leaf("B"), leaf("C")))
+        a = node("⿰", RadicalTree("A"), node("⿱", RadicalTree("B"), RadicalTree("C")))
+        b = node("⿰", RadicalTree("A"), node("⿻", RadicalTree("B"), RadicalTree("C")))
         assert tree_sim(a, b) == Fraction(2, 3)
 
     def test_symmetry_exact(self):
@@ -133,8 +136,8 @@ class TestTreeSim:
     def test_malformed_child_counts(self):
         # Hand-built trees that break the arity table: children pair left to
         # right and the unpaired ones count for nothing.
-        short = RadicalTree("⿰", (leaf("A"),))
-        full = node("⿰", leaf("A"), leaf("B"))
+        short = RadicalTree("⿰", (RadicalTree("A"),))
+        full = node("⿰", RadicalTree("A"), RadicalTree("B"))
         assert tree_weights(short) == [Fraction(1, 2), Fraction(1, 2)]
         assert tree_sim(short, full) == 1
         assert tree_sim(full, short) == Fraction(2, 3)
