@@ -44,7 +44,6 @@ from .tree import (
     parse_sequence,
     rssl,
     to_preorder,
-    validate_tree,
 )
 from .treesim import char_sim, tree_sim, tree_weights
 
@@ -86,6 +85,5 @@ __all__ = [
     "to_preorder",
     "tree_sim",
     "tree_weights",
-    "validate_tree",
     "weighted_ce",
 ]

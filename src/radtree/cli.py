@@ -68,9 +68,9 @@ def _write(path, lines) -> None:
         write_lines(path, lines)
     elif sys.stdout is None:  # file descriptor 1 is closed
         raise OSError("stdout is closed")
-    elif hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8", errors="strict")  # as -o writes, any env
-        sys.stdout.writelines(lines)
+    elif hasattr(sys.stdout, "buffer"):  # the bytes -o writes, whatever stdout's encoding
+        sys.stdout.flush()  # text printed before goes first
+        sys.stdout.buffer.writelines(line.encode("utf-8") for line in lines)
     else:  # a str stream, such as io.StringIO: it takes only what -o could write
         text = "".join(lines)
         text.encode("utf-8")

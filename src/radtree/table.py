@@ -13,7 +13,7 @@ from typing import Collection, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
 from .textio import numbered_lines, two_fields, write_lines
-from .tree import ArityTable, RadicalTree, build_checked, check_sequence, validate_tree
+from .tree import ArityTable, RadicalTree, build_checked, check_sequence
 
 
 def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
@@ -27,11 +27,12 @@ def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
 class DecompositionTable:
     """Maps characters to radical trees.
 
-    Each entry is kept as its preorder token tuple and its shape (child
-    counts and subtree ends, checked and computed once per distinct shape and
-    shared); ``load`` fills these two dicts of an empty table line by line
-    and stores each distinct token string once, shared by every entry.
-    The table holds no tree: ``lookup`` builds a fresh one on each call.
+    An entry is given, stored and saved as its preorder token sequence, kept
+    as a tuple with its shape (child counts and subtree ends, checked and
+    computed once per distinct shape and shared).  The constructor and
+    ``load`` check each entry with the same ``_shape`` call; ``load`` fills
+    the two dicts of an empty table line by line and stores each distinct
+    token string once.  The table holds no tree: ``lookup`` builds one.
     ``tokens()`` serves save, the inventory, rssl and export's records;
     similarity, weights, export's plan and the CLI's ``parse`` read
     ``_preorder()``; neither builds a tree.
@@ -41,16 +42,20 @@ class DecompositionTable:
     over arbitrary text.  The entries never change after construction.
     """
 
-    def __init__(self, entries: dict[str, RadicalTree] | None = None,
+    def __init__(self, entries: dict[str, Sequence[str]] | None = None,
                  arities: ArityTable | None = None):
         self.arities = arities if arities is not None else ArityTable()
         self._entries, self._shapes, seen = {}, {}, {}
-        for char, tree in (entries or {}).items():
+        for char, tokens in (entries or {}).items():
+            tokens = tuple(tokens)
+            if not tokens or "" in tokens:  # a shared shape is not checked again
+                where = f"at position {tokens.index('')}" if tokens else "sequence"
+                raise MalformedLine(f"entry {char!r}: empty token {where}")
             try:
-                tokens, counts = validate_tree(tree, self.arities)
-            except ValueError as exc:
-                raise ValueError(f"entry {char!r}: {exc}") from None
-            self._entries[char], self._shapes[char] = tokens, _shape(seen, tokens, counts)
+                shape = _shape(seen, tokens, self.arities.child_counts(tokens))
+            except (Underflow, TrailingTokens) as exc:
+                raise TableParseError(f"entry {char!r}: {exc}") from exc
+            self._entries[char], self._shapes[char] = tokens, shape
 
     @classmethod
     def load(cls, path, arities: ArityTable | None = None, *,

@@ -229,20 +229,3 @@ def to_preorder(tree: RadicalTree) -> list[str]:
 def rssl(tree: RadicalTree) -> int:
     """Radical structure sequence length: total node count of the tree."""
     return sum(1 for _ in iter_preorder(tree))
-
-
-def validate_tree(tree: RadicalTree, arities: ArityTable) -> tuple:
-    """Check each node's child count against ``arities.child_counts`` (0 for a radical)
-    and return the tree's preorder symbols and child counts.
-
-    Raises ValueError at the first violation in preorder.
-    """
-    symbols, counts = tree._shape()
-    for symbol, n, want in zip(symbols, counts, arities.child_counts(symbols)):
-        if not symbol:
-            raise ValueError("empty symbol")
-        if n != want:
-            if want:
-                raise ValueError(f"structure {symbol!r} has {n} children, expected {want}")
-            raise ValueError(f"radical {symbol!r} must be a leaf")
-    return symbols, counts

@@ -1,7 +1,7 @@
 import pytest
 
 from radtree.table import DecompositionTable
-from radtree.tree import ArityTable, parse_sequence
+from radtree.tree import ArityTable
 
 
 @pytest.fixture
@@ -21,8 +21,7 @@ SAMPLE_ROWS = {
 
 @pytest.fixture
 def sample_table(arities):
-    entries = {char: parse_sequence(tokens, arities) for char, tokens in SAMPLE_ROWS.items()}
-    return DecompositionTable(entries, arities)
+    return DecompositionTable(SAMPLE_ROWS, arities)
 
 
 @pytest.fixture

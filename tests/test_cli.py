@@ -474,7 +474,8 @@ class TestExportTargets:
         rng = random.Random(1107)
         trees = [random_tree(rng, max_depth=4) for _ in range(600)]
         table_path = tmp_path / "table.tsv"
-        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        rows = {chr(0x5000 + i): to_preorder(t) for i, t in enumerate(trees)}
+        DecompositionTable(rows).save(table_path)
         max_len = str(max(len(to_preorder(t)) for t in trees) + 1)
         argv = [sys.executable, "-m", "radtree.cli", "export-targets", "--from-table",
                 "--table", str(table_path), "--max-len", max_len]
@@ -508,7 +509,8 @@ class TestExportTargets:
         pool = [chr(0x4E00 + i) for i in range(300)] + ['"', "\\", "𠀀", "é"]
         trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(300)]
         table_path = tmp_path / "table.tsv"
-        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        rows = {chr(0x5000 + i): to_preorder(t) for i, t in enumerate(trees)}
+        DecompositionTable(rows).save(table_path)
         charset = tmp_path / "charset.txt"
         charset.write_text("".join(f"{chr(0x5000 + i)}\n@\n" for i in range(0, 300, 7)),
                            encoding="utf-8")
@@ -830,7 +832,8 @@ class TestPlumbing:
         pool = [chr(0x4E00 + i) for i in range(40)] + ['"', "\\", "𠀀", "é"]
         trees = [random_tree(rng, max_depth=3, leaf_pool=pool) for _ in range(120)]
         table_path = tmp_path / "table.tsv"
-        DecompositionTable({chr(0x5000 + i): t for i, t in enumerate(trees)}).save(table_path)
+        rows = {chr(0x5000 + i): to_preorder(t) for i, t in enumerate(trees)}
+        DecompositionTable(rows).save(table_path)
         alphabet = [chr(0x5000 + i) for i in range(120)] + list("@#")
         gt, pred, train = tmp_path / "gt.tsv", tmp_path / "pred.tsv", tmp_path / "train.txt"
         gt_lines, pred_lines = [], []
@@ -907,6 +910,26 @@ class TestPlumbing:
             to_file = subprocess.run([*argv, "-o", str(out_path)], env=default)
             assert code == to_file.returncode == want_code
             assert out == (out_path.read_bytes() if code == 0 else b"")
+
+    def test_in_process_main_leaves_the_hosts_stdout_as_it_was(self, tmp_path):
+        # The host prints "好" before and after main: its latin-1 stdout writes "?" for it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "latin-1:replace"}
+        out_path = tmp_path / "out.json"
+        host = ("import sys\n"
+                "from radtree.cli import main\n"
+                "before = sys.stdout.encoding, sys.stdout.errors\n"
+                "print('好')\n"
+                "code = main(sys.argv[1:])\n"
+                "print('好')\n"
+                "print(code, before, (sys.stdout.encoding, sys.stdout.errors), file=sys.stderr)\n")
+        argv = ["parse", "好", "--table", str(SAMPLE_TABLE)]
+        done = subprocess.run([sys.executable, "-c", host, *argv], env=env, capture_output=True)
+        assert done.stderr.decode() == (
+            "0 ('iso8859-1', 'replace') ('iso8859-1', 'replace')\n")
+        subprocess.run([sys.executable, "-m", "radtree.cli", *argv, "-o", str(out_path)],
+                       env=env, check=True)
+        assert done.stdout == b"?\n" + out_path.read_bytes() + b"?\n"
 
     def test_a_closed_stdout_exits_3_with_one_line(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"

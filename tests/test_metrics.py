@@ -33,7 +33,7 @@ from radtree.metrics import (
     read_corpus_tsv,
 )
 from radtree.table import DecompositionTable
-from radtree.tree import parse_sequence
+from radtree.tree import parse_sequence, to_preorder
 
 ALPHABET = "ab好妈林森x"
 # Around one and two 64-bit words, where the kernel's ints gain a digit.
@@ -295,11 +295,10 @@ class TestEvaluate:
 
     def test_substitution_scores_tree_similarity(self, arities):
         from radtree.table import DecompositionTable
-        from radtree.tree import parse_sequence
 
         table = DecompositionTable({
-            "X": parse_sequence(["⿰", "A", "⿱", "B", "C"], arities),
-            "Y": parse_sequence(["⿰", "A", "⿱", "B", "D"], arities),
+            "X": ["⿰", "A", "⿱", "B", "C"],
+            "Y": ["⿰", "A", "⿱", "B", "D"],
         }, arities)
         report = evaluate({"1": "X"}, {"1": "Y"}, table)
         assert report.char_correct == 0
@@ -418,7 +417,7 @@ class TestEvaluate:
         chain = ["⿰"] * 40 + ["A"] * 41
         trees += [parse_sequence(chain, arities), parse_sequence(chain[:-3] + ["B"] * 3, arities)]
         chars = "甲乙丙丁戊己庚辛"
-        table = DecompositionTable(dict(zip(chars, trees)), arities)
+        table = DecompositionTable(dict(zip(chars, map(to_preorder, trees))), arities)
         alphabet = chars + "⿰x"
         for _ in range(4):
             gt = {f"s{i}": random_text(rng, alphabet, 12) for i in range(15)}
@@ -470,7 +469,8 @@ class TestEvaluate:
         rng = random.Random(1807)
         chars = [chr(0x4E00 + n) for n in range(60)]
         path = tmp_path / "table.tsv"
-        DecompositionTable({c: random_tree(rng, max_depth=4) for c in chars}).save(path)
+        rows = {c: to_preorder(random_tree(rng, max_depth=4)) for c in chars}
+        DecompositionTable(rows).save(path)
         full = DecompositionTable.load(path)
         alphabet = "".join(chars[:40]) + "xy@"
         for _ in range(10):

@@ -36,12 +36,11 @@ class TestRsslDistribution:
     def test_one_char_per_bucket(self, sample_table):
         # One entry each with 1, 5, and 7 nodes.
         from radtree.table import DecompositionTable
-        from radtree.tree import parse_sequence
 
         table = DecompositionTable({
-            "s": parse_sequence(["A"], sample_table.arities),
-            "m": parse_sequence(["⿱", "木", "⿰", "木", "木"], sample_table.arities),
-            "c": parse_sequence(["⿰", "⿱", "A", "B", "⿱", "C", "D"], sample_table.arities),
+            "s": ["A"],
+            "m": ["⿱", "木", "⿰", "木", "木"],
+            "c": ["⿰", "⿱", "A", "B", "⿱", "C", "D"],
         }, sample_table.arities)
         dist = rssl_distribution({"s", "m", "c"}, table)
         for bucket in ("simple", "sub_complex", "complex"):

@@ -76,43 +76,56 @@ class TestLoad:
         table = DecompositionTable.load(write(tmp_path, "x\tPAIR a b\n"), arities)
         assert rssl(table.lookup("x")) == 3
 
-    def test_invalid_direct_entry_rejected(self, arities):
-        bad = RadicalTree("⿰", (RadicalTree("A"),))
-        with pytest.raises(ValueError):
-            DecompositionTable({"x": bad}, arities)
+    @pytest.mark.parametrize("entries, error, message", [
+        ({"x": ["⿰", "A"]}, TableParseError,
+         "entry 'x': sequence ended at token 2 while a subtree was still incomplete"),
+        ({"好": ["⿰", "女", "子"], "x": ["⿰", "A", "B", "C"]}, TableParseError,
+         "entry 'x': 1 token(s) left over at position 3 after the tree closed"),
+        ({"x": []}, MalformedLine, "entry 'x': empty token sequence"),
+        ({"x": ["⿰", "", "B"]}, MalformedLine, "entry 'x': empty token at position 1"),
+        # The shape of "y" was checked with "x", and its empty token is still caught.
+        ({"x": ["⿰", "A", "B"], "y": ["⿰", "A", ""]}, MalformedLine,
+         "entry 'y': empty token at position 2"),
+    ])
+    def test_invalid_direct_entry_rejected(self, arities, entries, error, message):
+        with pytest.raises(error) as caught:
+            DecompositionTable(entries, arities)
+        assert type(caught.value) is error and str(caught.value) == message
 
-    def test_load_relies_on_parse_sequence_alone(self, tmp_path, monkeypatch):
-        def fail(tree, arities):
-            raise AssertionError("loaded trees are validated again")
-
-        monkeypatch.setattr("radtree.table.validate_tree", fail)
+    def test_load_relies_on_parse_sequence_alone(self, tmp_path):
         table = DecompositionTable.load(write(tmp_path, "好\t⿰ 女 子\n林\t⿰ 木 木\n"))
         assert table.chars() == ["好", "林"]
         assert table.lookup("林") == parse_sequence(["⿰", "木", "木"], table.arities)
-        with pytest.raises(AssertionError):
-            DecompositionTable({"好": table.lookup("好")})
 
     def test_accepts_and_rejects_like_the_parser_oracle(self, tmp_path):
+        """``load`` of a line and the constructor given its token sequence decide
+        alike, with the same error but for its prefix, and as the parser oracle."""
         path = tmp_path / "table.tsv"
         rng = random.Random(18)
         for arities, tokens in parse_cases(rng, 400):
             path.write_text(f"X\t{' '.join(tokens)}\n", encoding="utf-8")
             split = " ".join(tokens).split()
+            outcomes = []
+            for prefix, make in ((f"{path}:1: ", lambda: DecompositionTable.load(path, arities)),
+                                 ("entry 'X': ", lambda: DecompositionTable({"X": split},
+                                                                            arities))):
+                try:
+                    table = make()
+                except RadtreeError as exc:
+                    assert str(exc).startswith(prefix)
+                    outcomes.append((type(exc), str(exc)[len(prefix):], type(exc.__cause__)))
+                else:
+                    outcomes.append((table.tokens("X"), table._preorder("X"), table.lookup("X")))
+            assert outcomes[0] == outcomes[1]
             if not split:
-                with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:1: empty token sequence$"):
-                    DecompositionTable.load(path, arities)
+                assert outcomes[0] == (MalformedLine, "empty token sequence", type(None))
                 continue
             try:
                 want = parse_oracle(split, arities)
             except RadtreeError as exc:
-                with pytest.raises(TableParseError) as caught:
-                    DecompositionTable.load(path, arities)
-                assert str(caught.value) == f"{path}:1: {exc}"
-                assert type(caught.value.__cause__) is type(exc)
+                assert outcomes[0] == (TableParseError, str(exc), type(exc))
                 continue
-            table = DecompositionTable.load(path, arities)
-            assert table.tokens("X") == tuple(split)
-            assert table.lookup("X") == want
+            assert outcomes[0][0] == tuple(split) and outcomes[0][2] == want
 
 
 class TestLookup:
@@ -207,13 +220,14 @@ class TestTokenEntries:
             assert saved.read_text(encoding="utf-8") == "".join(
                 f"{char}\t{' '.join(tokens)}\n" for char, tokens in entries)
 
-    def test_constructor_keeps_trees_equal_to_the_callers(self, arities):
-        trees = {"好": parse_sequence(["⿰", "女", "子"], arities), "A": RadicalTree("A")}
-        table = DecompositionTable(trees, arities)
-        for char, tree in trees.items():
-            assert table.lookup(char) == tree
+    def test_constructor_stores_the_callers_sequences(self, arities):
+        entries = {"好": ["⿰", "女", "子"], "A": ("A",), "森": ["⿱", "木", "⿰", "木", "木"]}
+        table = DecompositionTable(entries, arities)
+        assert table.chars() == ["好", "A", "森"]
+        assert table.tokens("好") == ("⿰", "女", "子") and table.tokens("A") == ("A",)
+        assert table.tokens("森") == ("⿱", "木", "⿰", "木", "木")
+        for char in table.chars():
             assert table.lookup(char) == parse_sequence(table.tokens(char), arities)
-        assert table.tokens("好") == ("⿰", "女", "子")
 
     def test_load_builds_no_tree(self, tmp_path, monkeypatch):
         built = []
@@ -283,7 +297,8 @@ class TestShapeCache:
         path.write_text("".join(f"{chr(0x4E00 + n)}\t{' '.join(to_preorder(tree))}\n"
                                 for n, tree in enumerate(trees)), encoding="utf-8")
         return [DecompositionTable.load(SAMPLE_TABLE), DecompositionTable.load(path),
-                DecompositionTable({chr(0x4E00 + n): tree for n, tree in enumerate(trees)})]
+                DecompositionTable({chr(0x4E00 + n): to_preorder(tree)
+                                    for n, tree in enumerate(trees)})]
 
     @pytest.fixture
     def tables(self, tmp_path):
@@ -315,6 +330,11 @@ class TestShapeCache:
     def test_load_computes_child_counts_once_per_entry(self, child_counts_calls):
         table = DecompositionTable.load(SAMPLE_TABLE)
         assert sorted(child_counts_calls) == sorted(table.tokens(c) for c in table.chars())
+        child_counts_calls.clear()
+        rows = {char: list(table.tokens(char)) for char in table.chars()}
+        built = DecompositionTable(rows)
+        assert child_counts_calls == [tuple(tokens) for tokens in rows.values()]
+        assert [built._preorder(c) for c in rows] == [table._preorder(c) for c in rows]
 
     def test_readers_never_recompute_child_counts(self, tables, child_counts_calls):
         for table in tables:
@@ -347,21 +367,22 @@ class TestShapeCache:
             assert len(by_shape) < len(table)
         assert tables[0]._preorder("好")[1] is tables[0]._preorder("林")[1]
 
-    def test_constructor_walks_each_tree_once(self, monkeypatch):
+    def test_constructor_checks_each_distinct_shape_once(self, monkeypatch):
         rng = random.Random(37)
-        entries = {chr(0x4E00 + n): random_tree(rng, max_depth=4) for n in range(50)}
-        walked = []
-        shape = RadicalTree._shape
+        entries = {chr(0x4E00 + n): to_preorder(random_tree(rng, max_depth=4)) for n in range(50)}
+        seen = []
 
-        def counting(self):
-            walked.append(self)
-            return shape(self)
+        def counting(tokens, counts):
+            seen.append(counts)
+            return check_sequence(tokens, counts)
 
-        monkeypatch.setattr(RadicalTree, "_shape", counting)
+        monkeypatch.setattr("radtree.table.check_sequence", counting)
         table = DecompositionTable(entries)
-        assert list(map(id, walked)) == list(map(id, entries.values()))
-        assert {c: table._preorder(c)[:2] for c in entries} == {
-            c: shape(tree) for c, tree in entries.items()}
+        shapes = list(dict.fromkeys(table._preorder(c)[1] for c in entries))
+        assert seen == shapes and len(shapes) < len(entries)
+        for char, tokens in entries.items():
+            counts = table.arities.child_counts(tokens)
+            assert table._preorder(char) == (tuple(tokens), counts, subtree_ends_oracle(counts))
 
     def test_fallback_leaf_arrays(self, sample_table):
         assert sample_table._preorder("@") == (("@",), (0,), [1])
@@ -392,7 +413,8 @@ class TestKeep:
         path = tmp_path / "table.tsv"
         for _ in range(60):
             keys = rng.sample(pool, rng.randint(0, 80))
-            DecompositionTable({k: random_tree(rng, max_depth=4) for k in keys}).save(path)
+            DecompositionTable({k: to_preorder(random_tree(rng, max_depth=4))
+                                for k in keys}).save(path)
             full = DecompositionTable.load(path)
             keep = set(rng.sample(pool, rng.randint(0, len(pool)))) | {"@", "xy"}
             kept = DecompositionTable.load(path, keep=keep)

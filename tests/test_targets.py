@@ -36,7 +36,7 @@ from radtree.targets import (
     weighted_ce,
 )
 from radtree.textio import write_lines
-from radtree.tree import parse_sequence, rssl, to_preorder
+from radtree.tree import rssl, to_preorder
 from radtree.treesim import tree_weights
 
 
@@ -132,8 +132,7 @@ class TestRadicalWeights:
         assert radical_weights("好", sample_table, "treesim", 1) == [Fraction(4, 3)] * 3
 
     def test_nested_treesim(self, arities):
-        table = DecompositionTable(
-            {"X": parse_sequence(["⿰", "A", "⿱", "B", "C"], arities)}, arities)
+        table = DecompositionTable({"X": ["⿰", "A", "⿱", "B", "C"]}, arities)
         assert radical_weights("X", table, "treesim", 1) == [
             Fraction(4, 3), Fraction(4, 3),
             Fraction(10, 9), Fraction(10, 9), Fraction(10, 9),
@@ -264,7 +263,7 @@ class TestExportTargets:
         rng = random.Random(61)
         trees = [random_tree(rng, max_depth=5) for _ in range(40)]
         chars = [chr(0x4E00 + i) for i in range(len(trees))]
-        table = DecompositionTable(dict(zip(chars, trees)), arities)
+        table = DecompositionTable(dict(zip(chars, map(to_preorder, trees))), arities)
         max_len = max(rssl(t) for t in trees) + 1
         lams = (0, 0.1, 0.5, 1, 3, 1e-300, 1e300, 2 ** 70, Fraction(1, 3))
         for lam in lams:
@@ -347,7 +346,7 @@ class TestShapeRows:
         pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
         trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
         chars = [chr(0x4E00 + i) for i in range(len(trees))]
-        big = DecompositionTable(dict(zip(chars, trees)))
+        big = DecompositionTable(dict(zip(chars, map(to_preorder, trees))))
         max_len = max(rssl(t) for t in trees) + 3
         path = tmp_path / "out.jsonl"
         for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
@@ -364,7 +363,7 @@ class TestShapeRows:
         pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
         trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
         chars = [chr(0x4E00 + i) for i in range(len(trees))]
-        big = DecompositionTable(dict(zip(chars, trees)))
+        big = DecompositionTable(dict(zip(chars, map(to_preorder, trees))))
         max_len = max(rssl(t) for t in trees) + 3
         for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
             vocab = build_vocab(tab, extra_tokens=[c for c in charset if c not in tab])
@@ -544,7 +543,7 @@ def test_random_trees_keep_weight_identities(arities):
     rng = random.Random(101)
     for _ in range(50):
         tree = random_tree(rng, max_depth=4)
-        table = DecompositionTable({"x": tree}, arities)
+        table = DecompositionTable({"x": to_preorder(tree)}, arities)
         enhanced = radical_weights("x", table, "treesim", 1)
         assert sum(enhanced) == rssl(tree) + 1
         assert all(w > 1 for w in enhanced)

@@ -19,7 +19,7 @@ from radtree.metrics import read_corpus_tsv
 from radtree.stats import read_labels
 from radtree.table import DecompositionTable
 from radtree.targets import RadicalVocab, build_vocab
-from radtree.tree import ArityTable, RadicalTree, parse_sequence
+from radtree.tree import ArityTable
 
 PACKAGE = Path(radtree.__file__).parent
 
@@ -90,8 +90,8 @@ ODD_KEYS = ("#", " ", "\x85", "\u2028", "\U00020000", "\t", "\n", "\r")
 
 @pytest.mark.parametrize("key", ODD_KEYS, ids=ascii)
 def test_table_key_reloads_equal_or_is_refused(tmp_path, key):
-    tree = parse_sequence(["⿰", "女", "子"], ArityTable())
-    table = DecompositionTable({key: tree, "妈": tree})
+    tokens = ["⿰", "女", "子"]
+    table = DecompositionTable({key: tokens, "妈": tokens})
     path = tmp_path / "table.tsv"
     if key in "#\t\n\r":
         with pytest.raises(ValueError, match=re.escape(repr(key))):
@@ -105,9 +105,8 @@ def test_table_key_reloads_equal_or_is_refused(tmp_path, key):
 @pytest.mark.parametrize("keys", [("\ufeff", "妈"), ("妈", "\ufeff")], ids=ascii)
 def test_byte_order_mark_key_reloads_equal(tmp_path, keys):
     # load drops one leading U+FEFF, so save writes one only before a first key U+FEFF.
-    tree = parse_sequence(["⿰", "女", "子"], ArityTable())
     path = tmp_path / "table.tsv"
-    DecompositionTable(dict.fromkeys(keys, tree)).save(path)
+    DecompositionTable(dict.fromkeys(keys, ["⿰", "女", "子"])).save(path)
     bom = "\ufeff" if keys[0] == "\ufeff" else ""
     assert path.read_bytes() == (bom + "".join(f"{k}\t⿰ 女 子\n" for k in keys)).encode("utf-8")
     assert list(read_table(path).items()) == [(k, ("⿰", "女", "子")) for k in keys]
@@ -129,8 +128,7 @@ def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
 @pytest.mark.parametrize("symbol", ["#", "\U00020000", "a b", "a\tb", "a\nb", "\x85", "a\u2028b"],
                          ids=ascii)
 def test_table_token_reloads_equal_or_is_refused(tmp_path, symbol):
-    tree = RadicalTree("⿰", (RadicalTree(symbol), RadicalTree("子")))
-    table = DecompositionTable({"好": tree})
+    table = DecompositionTable({"好": ["⿰", symbol, "子"]})
     path = tmp_path / "table.tsv"
     if symbol.split() != [symbol]:  # load splits the token field on any whitespace
         with pytest.raises(ValueError, match=re.escape(repr("好"))):
@@ -143,7 +141,7 @@ def test_table_token_reloads_equal_or_is_refused(tmp_path, symbol):
 
 @pytest.mark.parametrize("path, error", [("", FileNotFoundError), (None, TypeError)])
 def test_writers_need_a_file_path(capsys, path, error):
-    table = DecompositionTable({"好": parse_sequence(["⿰", "女", "子"], ArityTable())})
+    table = DecompositionTable({"好": ["⿰", "女", "子"]})
     for save in (table.save, build_vocab(table).save):
         with pytest.raises(error):
             save(path)

@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from helpers import (
     DEFAULT_ARITIES,
     STRUCTURES,
+    all_paths,
     node,
     parse_cases,
     parse_oracle,
     random_tree,
+    replace_at,
+    subtree_at,
     subtree_ends_oracle,
 )
 from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TrailingTokens, Underflow
@@ -24,7 +27,6 @@ from radtree.tree import (
     parse_sequence,
     rssl,
     to_preorder,
-    validate_tree,
 )
 
 
@@ -133,6 +135,32 @@ class TestParseSequence:
         tokens = ["⿳", "A", "⿰", "B", "C", "D"]
         assert parse_sequence(tokens, arities) == parse_sequence(tokens, arities)
 
+    def test_a_wrong_child_count_does_not_reparse_to_the_tree(self, arities):
+        """``parse_sequence(to_preorder(tree), arities) == tree`` is the check of a
+        hand-built tree: a node with a child too few or too many, or a radical
+        with children, fails to parse back or parses to another tree."""
+        bad = [
+            RadicalTree("⿰", (RadicalTree("A"),)),
+            RadicalTree("⿲", (RadicalTree("A"),) * 4),
+            RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))),
+            node("⿰", RadicalTree("⿱", (RadicalTree("C"),)),
+                 RadicalTree("A", (RadicalTree("B"),))),
+        ]
+        rng = random.Random(23)
+        for _ in range(200):
+            tree = random_tree(rng, max_depth=4)
+            assert parse_sequence(to_preorder(tree), arities) == tree
+            path = rng.choice(all_paths(tree))
+            target = subtree_at(tree, path)
+            children = target.children[:-1] if target.children and rng.random() < 0.5 else (
+                *target.children, random_tree(rng, max_depth=2))
+            bad.append(replace_at(tree, path, RadicalTree(target.symbol, children)))
+        for tree in bad:
+            try:
+                assert parse_sequence(to_preorder(tree), arities) != tree
+            except (Underflow, TrailingTokens):
+                pass
+
     def test_every_strict_prefix_underflows(self, arities):
         rng = random.Random(7)
         for _ in range(50):
@@ -240,59 +268,6 @@ class TestRssl:
     @given(trees())
     def test_recursion(self, tree):
         assert rssl(tree) == 1 + sum(rssl(c) for c in tree.children)
-
-
-class TestValidateTree:
-    def test_accepts_valid(self, arities):
-        validate_tree(node("⿰", RadicalTree("A"), RadicalTree("B")), arities)
-
-    def test_returns_the_preorder_symbols_and_child_counts(self, arities):
-        tree = node("⿰", RadicalTree("A"),
-                    node("⿲", RadicalTree("B"), RadicalTree("C"), RadicalTree("D")))
-        assert validate_tree(tree, arities) == (("⿰", "A", "⿲", "B", "C", "D"), (2, 0, 3, 0, 0, 0))
-        rng = random.Random(23)
-        for tree in (random_tree(rng, max_depth=4) for _ in range(50)):
-            assert validate_tree(tree, arities) == tree._shape()
-
-    def test_rejects_wrong_child_count(self, arities):
-        with pytest.raises(ValueError):
-            validate_tree(RadicalTree("⿰", (RadicalTree("A"),)), arities)
-
-    def test_rejects_radical_with_children(self, arities):
-        with pytest.raises(ValueError):
-            validate_tree(RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))), arities)
-
-    @pytest.mark.parametrize("tree, message", [
-        (RadicalTree(""), "empty symbol"),
-        (RadicalTree("⿰", (RadicalTree("A"),)), "structure '⿰' has 1 children, expected 2"),
-        (RadicalTree("⿲", (RadicalTree("A"),) * 4), "structure '⿲' has 4 children, expected 3"),
-        (RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))), "radical 'A' must be a leaf"),
-    ])
-    def test_messages(self, arities, tree, message):
-        with pytest.raises(ValueError) as info:
-            validate_tree(tree, arities)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("tree, message", [
-        (RadicalTree("⿰", (RadicalTree("A", (RadicalTree("B"),)),)),
-         "structure '⿰' has 1 children, expected 2"),
-        (node("⿰", RadicalTree("A", (RadicalTree("B"),)),
-              RadicalTree("⿱", (RadicalTree("C"),))),
-         "radical 'A' must be a leaf"),
-        (node("⿰", RadicalTree("⿱", (RadicalTree("C"),)),
-              RadicalTree("A", (RadicalTree("B"),))),
-         "structure '⿱' has 1 children, expected 2"),
-        (node("⿰", RadicalTree(""), RadicalTree("A", (RadicalTree("B"),))), "empty symbol"),
-        (node("⿰", RadicalTree("A", (RadicalTree("B"),)), RadicalTree("")),
-         "radical 'A' must be a leaf"),
-        (node("⿰", node("⿱", RadicalTree("X"), RadicalTree("A", (RadicalTree(""),))),
-              RadicalTree("⿲", (RadicalTree("C"),))),
-         "radical 'A' must be a leaf"),
-    ])
-    def test_reports_the_first_violation_in_preorder(self, arities, tree, message):
-        with pytest.raises(ValueError) as info:
-            validate_tree(tree, arities)
-        assert str(info.value) == message
 
 
 # A plain frozen dataclass with RadicalTree's name and fields: its generated

@@ -71,7 +71,7 @@ class TestTreeWeights:
 
 
 class TestEmptySymbol:
-    """An empty symbol is no tree: validate_tree rejects it, and so do the scores."""
+    """An empty symbol is no tree: it does not parse back, and the scores reject it."""
 
     @pytest.mark.parametrize("tree, position", [
         (RadicalTree(""), 0),
@@ -231,7 +231,7 @@ class TestCharSimOnRandomTables:
             bases.append(node("⿰", random_tree(rng, max_depth=2), random_tree(rng, max_depth=2)))
             trees = bases + [mutate(rng, rng.choice(bases)) for _ in range(6)]
             chars = [chr(0x4E00 + i) for i in range(len(trees))]
-            table = DecompositionTable(dict(zip(chars, trees)))
+            table = DecompositionTable(dict(zip(chars, map(to_preorder, trees))))
             pool = chars + list(self.UNTABULATED)
             for c1 in pool:
                 for c2 in pool:
