@@ -18,7 +18,15 @@ from helpers import (
     subtree_at,
     subtree_ends_oracle,
 )
-from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TrailingTokens, Underflow
+from radtree.errors import (
+    DuplicateEntry,
+    MalformedLine,
+    RadtreeError,
+    TableParseError,
+    TrailingTokens,
+    Underflow,
+)
+from radtree.table import DecompositionTable
 from radtree.tree import (
     ArityTable,
     RadicalTree,
@@ -268,6 +276,101 @@ class TestRssl:
     @given(trees())
     def test_recursion(self, tree):
         assert rssl(tree) == 1 + sum(rssl(c) for c in tree.children)
+
+
+# What a hand-built tree's preorder meets: (error class, message) from
+# parse_sequence, or None where it parses back to another tree; and the same
+# from DecompositionTable({"X": preorder}), or None where the table accepts it.
+LONE_VIOLATIONS = [
+    (RadicalTree(""), (MalformedLine, "empty token at position 0"),
+     (MalformedLine, "entry 'X': empty token at position 0")),
+    (RadicalTree("⿰", (RadicalTree("A"),)),
+     (Underflow, "sequence ended at token 2 while a subtree was still incomplete"),
+     (TableParseError,
+      "entry 'X': sequence ended at token 2 while a subtree was still incomplete")),
+    (RadicalTree("⿲", (RadicalTree("A"),) * 4),
+     (TrailingTokens, "1 token(s) left over at position 4 after the tree closed"),
+     (TableParseError, "entry 'X': 1 token(s) left over at position 4 after the tree closed")),
+    (RadicalTree("A", (RadicalTree("B"), RadicalTree("C"))),
+     (TrailingTokens, "2 token(s) left over at position 1 after the tree closed"),
+     (TableParseError, "entry 'X': 2 token(s) left over at position 1 after the tree closed")),
+]
+
+NESTED_VIOLATIONS = [
+    (RadicalTree("⿰", (RadicalTree("A", (RadicalTree("B"),)),)), None, None),
+    (node("⿰", RadicalTree("A", (RadicalTree("B"),)), RadicalTree("⿱", (RadicalTree("C"),))),
+     (TrailingTokens, "2 token(s) left over at position 3 after the tree closed"),
+     (TableParseError, "entry 'X': 2 token(s) left over at position 3 after the tree closed")),
+    (node("⿰", RadicalTree("⿱", (RadicalTree("C"),)), RadicalTree("A", (RadicalTree("B"),))),
+     None, None),
+    (node("⿰", RadicalTree(""), RadicalTree("A", (RadicalTree("B"),))),
+     (MalformedLine, "empty token at position 1"),
+     (MalformedLine, "entry 'X': empty token at position 1")),
+    (node("⿰", RadicalTree("A", (RadicalTree("B"),)), RadicalTree("")),
+     (TrailingTokens, "1 token(s) left over at position 3 after the tree closed"),
+     (MalformedLine, "entry 'X': empty token at position 3")),
+    (node("⿰", node("⿱", RadicalTree("X"), RadicalTree("A", (RadicalTree(""),))),
+          RadicalTree("⿲", (RadicalTree("C"),))),
+     (MalformedLine, "empty token at position 4"),
+     (MalformedLine, "entry 'X': empty token at position 4")),
+]
+
+
+def check_hand_built(tree, arities, parsed, tabled):
+    tokens = to_preorder(tree)
+    if parsed is None:
+        assert parse_sequence(tokens, arities) != tree
+    else:
+        with pytest.raises(parsed[0]) as info:
+            parse_sequence(tokens, arities)
+        assert str(info.value) == parsed[1]
+    if tabled is None:
+        table = DecompositionTable({"X": tokens}, arities)
+        assert table.tokens("X") == tuple(tokens) and table.lookup("X") != tree
+    else:
+        with pytest.raises(tabled[0]) as info:
+            DecompositionTable({"X": tokens}, arities)
+        assert str(info.value) == tabled[1]
+
+
+class TestHandBuiltTrees:
+    """``parse_sequence(to_preorder(tree), arities) == tree`` checks a hand-built
+    tree, and ``DecompositionTable`` checks its preorder as it checks a table
+    line: each rejects a node with the wrong child count or a radical with
+    children, or sees that the preorder stands for another tree."""
+
+    def test_accepts_valid(self, arities):
+        tree = node("⿰", RadicalTree("A"), RadicalTree("B"))
+        assert parse_sequence(to_preorder(tree), arities) == tree
+        assert DecompositionTable({"X": to_preorder(tree)}, arities).lookup("X") == tree
+
+    def test_the_preorder_and_its_child_counts_are_the_trees_shape(self, arities):
+        tree = node("⿰", RadicalTree("A"),
+                    node("⿲", RadicalTree("B"), RadicalTree("C"), RadicalTree("D")))
+        tokens = to_preorder(tree)
+        assert (tuple(tokens), arities.child_counts(tokens)) == (
+            ("⿰", "A", "⿲", "B", "C", "D"), (2, 0, 3, 0, 0, 0))
+        rng = random.Random(23)
+        for tree in (random_tree(rng, max_depth=4) for _ in range(50)):
+            tokens = to_preorder(tree)
+            assert (tuple(tokens), arities.child_counts(tokens)) == tree._shape()
+
+    def test_rejects_wrong_child_count(self, arities):
+        with pytest.raises(TableParseError):
+            DecompositionTable({"X": to_preorder(RadicalTree("⿰", (RadicalTree("A"),)))}, arities)
+
+    def test_rejects_radical_with_children(self, arities):
+        tree = RadicalTree("A", (RadicalTree("B"), RadicalTree("C")))
+        with pytest.raises(TableParseError):
+            DecompositionTable({"X": to_preorder(tree)}, arities)
+
+    @pytest.mark.parametrize("tree, parsed, tabled", LONE_VIOLATIONS)
+    def test_messages(self, arities, tree, parsed, tabled):
+        check_hand_built(tree, arities, parsed, tabled)
+
+    @pytest.mark.parametrize("tree, parsed, tabled", NESTED_VIOLATIONS)
+    def test_nested_violations(self, arities, tree, parsed, tabled):
+        check_hand_built(tree, arities, parsed, tabled)
 
 
 # A plain frozen dataclass with RadicalTree's name and fields: its generated
