@@ -19,7 +19,7 @@ from .errors import EmptyCorpus, MalformedLine, RadtreeError
 from .metrics import BucketSpec, EvalReport, evaluate, read_corpus_tsv
 from .stats import count_occurrences, read_labels, rssl_distribution
 from .table import DecompositionTable
-from .targets import _export_ratios, _weight_ratios, build_vocab, export_lines, radical_weights
+from .targets import _export_ratios, _weight_ratios, build_vocab, export_lines
 from .textio import numbered_lines, write_lines
 from .tree import ArityTable, check_sequence
 from .treesim import char_sim
@@ -140,9 +140,8 @@ def cmd_treesim(args) -> int:
 
 def cmd_weights(args) -> int:
     char = _single_char(args.char, "--char")
-    _weight_ratios(args.mode, args.lam)  # before any file is read
-    weights = radical_weights(char, _load_table(args, keep={char}), mode=args.mode, lam=args.lam)
-    _emit_json(args, [float(w) for w in weights])
+    ratios = _weight_ratios(args.mode, args.lam)  # before any file is read
+    _emit_json(args, [n / d for n, d in ratios(_load_table(args, keep={char})._preorder(char))])
     return 0
 
 
@@ -226,7 +225,7 @@ def cmd_export_targets(args) -> int:
     _export_ratios(args.mode, args.lam, args.max_len)  # before any file is read
     table = _load_table(args)
     chars = table.chars() if args.from_table else _read_charset(args.charset)
-    vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
+    vocab = build_vocab(table, chars)
     lines = export_lines(chars, table, args.max_len, args.mode, args.lam, vocab)
     if args.vocab_out is not None:  # first: a vocabulary that cannot be saved stops all output
         vocab.save(args.vocab_out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Collection, Sequence
 
 from .errors import DuplicateEntry, MalformedLine, TableParseError, TrailingTokens, Underflow
-from .textio import numbered_lines, two_fields, write_lines
+from .textio import numbered_lines, two_fields, utf8, write_lines
 from .tree import ArityTable, RadicalTree, build_checked, check_sequence
 
 
@@ -27,19 +27,16 @@ def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
 class DecompositionTable:
     """Maps characters to radical trees.
 
-    An entry is given, stored and saved as its preorder token sequence, kept
-    as a tuple with its shape (child counts and subtree ends, checked and
-    computed once per distinct shape and shared).  The constructor and
-    ``load`` check each entry with the same ``_shape`` call; ``load`` fills
-    the two dicts of an empty table line by line and stores each distinct
-    token string once.  The table holds no tree: ``lookup`` builds one.
-    ``tokens()`` serves save, the inventory, rssl and export's records;
-    similarity, weights, export's plan and the CLI's ``parse`` read
-    ``_preorder()``; neither builds a tree.
-
-    Lookup is total: a character without an entry resolves to a synthesized
-    single-leaf tree of the character itself, so every metric stays defined
-    over arbitrary text.  The entries never change after construction.
+    An entry is given, stored and saved as its preorder token sequence, a
+    tuple kept with its shape (child counts and subtree ends, checked and
+    computed once per distinct shape and shared).  The constructor takes just
+    the entries a table file holds: a key of one character other than ``#``,
+    tab, LF and CR, and one or more tokens without whitespace, all UTF-8.  It
+    and ``load`` check each entry with the same ``_shape`` call; ``load`` also
+    stores each distinct token string once.  ``lookup`` builds a tree;
+    similarity, weights, export and ``parse`` read ``_preorder()`` instead.
+    Lookup is total: a character without an entry is a single leaf of itself,
+    so every metric stays defined over arbitrary text.  Entries never change.
     """
 
     def __init__(self, entries: dict[str, Sequence[str]] | None = None,
@@ -48,9 +45,14 @@ class DecompositionTable:
         self._entries, self._shapes, seen = {}, {}, {}
         for char, tokens in (entries or {}).items():
             tokens = tuple(tokens)
-            if not tokens or "" in tokens:  # a shared shape is not checked again
-                where = f"at position {tokens.index('')}" if tokens else "sequence"
-                raise MalformedLine(f"entry {char!r}: empty token {where}")
+            if len(char) != 1 or char in "#\t\n\r" or not utf8(char):
+                raise MalformedLine(f"entry {char!r}: key is not one character a table file holds")
+            for pos, token in enumerate(tokens or ("",)):  # before _shape: it checks a shape once
+                if token.split() != [token] or not utf8(token):
+                    what = ("empty token" if not token else
+                            f"token {token!r} holding whitespace or a lone surrogate")
+                    where = f"at position {pos}" if tokens else "sequence"
+                    raise MalformedLine(f"entry {char!r}: {what} {where}")
             try:
                 shape = _shape(seen, tokens, self.arities.child_counts(tokens))
             except (Underflow, TrailingTokens) as exc:
@@ -94,21 +96,15 @@ class DecompositionTable:
         return table
 
     def save(self, path) -> None:
-        """Write the table back out in the same TSV format, entry order preserved;
-        ValueError first for a key ``#``, tab, CR, LF or not one char, or a token
-        that is empty or holds whitespace: such an entry would not load back."""
-        for char, tokens in self._entries.items():
-            if len(char) != 1 or char in "#\t\n\r" or " ".join(tokens).split() != list(tokens):
-                raise ValueError(f"key {char!r} cannot be saved in the table format")
+        """Write the table back out in the same TSV format, entry order preserved."""
         # load strips a leading U+FEFF as a byte-order mark; a first key U+FEFF needs one
         bom = "\ufeff" if next(iter(self._entries), None) == "\ufeff" else ""
         write_lines(path, (bom, *(f"{char}\t{' '.join(tokens)}\n"
                                   for char, tokens in self._entries.items())))
 
     def lookup(self, char: str) -> RadicalTree:
-        """A new tree of the stored entry if present, otherwise a single leaf of the character."""
-        tokens = self._entries.get(char)
-        return RadicalTree(char) if tokens is None else build_checked(tokens, self._shapes[char][0])
+        """A new tree of the character's preorder sequence (see ``_preorder``)."""
+        return build_checked(*self._preorder(char)[:2])
 
     def tokens(self, char: str) -> tuple[str, ...]:
         """Preorder tokens of the stored tree, or ``(char,)`` for its fallback leaf."""

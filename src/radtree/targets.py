@@ -31,7 +31,7 @@ from .errors import (
     UnknownToken,
 )
 from .table import DecompositionTable
-from .textio import numbered_lines, two_fields, write_lines
+from .textio import numbered_lines, two_fields, utf8, write_lines
 from .treesim import _matched_denominators
 
 PAD_TOKEN = "<pad>"
@@ -67,10 +67,9 @@ class RadicalVocab:
             raise UnknownToken(f"token {exc.args[0]!r} is not in the vocabulary") from None
 
     def save(self, path) -> None:
-        """Write ``<token><TAB><index>`` lines in index order; ValueError first
-        for a token holding a tab or a line break, which would not load back."""
+        """Write ``<token><TAB><index>`` lines by index; ValueError first if one won't load."""
         for token in self._tokens:
-            if "\t" in token or "\n" in token or "\r" in token:
+            if "\t" in token or "\n" in token or "\r" in token or not utf8(token):
                 raise ValueError(f"token {token!r} cannot be saved in the vocabulary format")
         write_lines(path, (f"{token}\t{i}\n" for i, token in enumerate(self._tokens)))
 
@@ -113,13 +112,10 @@ class RadicalVocab:
         return f"RadicalVocab({len(self._tokens)} tokens)"
 
 
-def build_vocab(table: DecompositionTable, extra_tokens: Iterable[str] = ()) -> RadicalVocab:
-    """Vocabulary over the table's token inventory plus PAD/EOS.
-
-    ``extra_tokens`` admits tokens outside the table, e.g. the fallback
-    leaf symbols of untabulated characters in an export charset.
-    """
-    return RadicalVocab(table.radical_inventory() | set(extra_tokens))
+def build_vocab(table: DecompositionTable, chars: Iterable[str] = ()) -> RadicalVocab:
+    """PAD/EOS, the table's token inventory and the single-leaf token of each character
+    of ``chars`` that the table lacks: the vocabulary an export of ``chars`` needs."""
+    return RadicalVocab(table.radical_inventory().union(c for c in chars if c not in table))
 
 
 def _weight_ratios(mode: str, lam) -> Callable[[tuple], list[tuple[int, int]]]:
@@ -229,7 +225,7 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
     """
     ratios = _export_ratios(mode, lam, max_len)
     if vocab is None:
-        vocab = build_vocab(table, extra_tokens=(c for c in chars if c not in table))
+        vocab = build_vocab(table, chars)
     known, texts = set(vocab.tokens), {}
     shapes: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
     plan = []

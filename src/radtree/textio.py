@@ -2,7 +2,7 @@
 line ends.  numbered_lines ignores a leading byte-order mark and also ends a
 line at ``\\r\\n`` or ``\\r``; which lines to skip is each reader's policy."""
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import MalformedLine
 
@@ -22,6 +22,14 @@ def two_fields(path, lineno: int, line: str, layout: str, maxsplit: int = -1) ->
     return fields
 
 
+def utf8(text: str) -> bool:
+    """Whether UTF-8 holds ``text``: encoding drops only a lone surrogate."""
+    return text.encode("utf-8", "ignore").decode("utf-8") == text
+
+
 def write_lines(path, lines) -> None:
+    lines = iter(lines)
+    first = next(lines, "")
+    first.encode("utf-8")  # before the open: a failed first line leaves the path as it was
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+        fh.writelines(chain((first,), lines))

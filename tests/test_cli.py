@@ -12,7 +12,7 @@ import pytest
 from helpers import dumps_lines, json_text, parse_output_oracle, random_tree
 from radtree.cli import main
 from radtree.table import DecompositionTable
-from radtree.targets import export_targets
+from radtree.targets import export_targets, radical_weights
 from radtree.tree import ArityTable, RadicalTree, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
@@ -163,6 +163,15 @@ class TestWeights:
         assert code == 0
         assert json.loads(out) == [1.5]
 
+    @pytest.mark.parametrize("mode", ["naive", "treesim"])
+    @pytest.mark.parametrize("lam", ["0", "0.1", repr(1 / 3), "1e-300", "1e300", str(2 ** 70)])
+    def test_output_is_json_of_the_exact_weights_as_floats(self, capsys, mode, lam):
+        table = DecompositionTable.load(SAMPLE_TABLE)
+        for char in [*table.chars(), "@"]:
+            want = [float(w) for w in radical_weights(char, table, mode, float(lam))]
+            assert run(capsys, "weights", "--char", char, "--mode", mode, "--lambda", lam,
+                       "--table", str(SAMPLE_TABLE)) == (0, json.dumps(want) + "\n", "")
+
     @pytest.mark.parametrize("command", [
         ("weights", "--char", "好"),
         ("export-targets", "--from-table", "--max-len", "8"),
@@ -312,6 +321,47 @@ class TestEval:
                            "--pretty")
         assert code == 0
         assert "bucket" in out
+
+    SUMMARY = (
+        "lines 3  accuracy 0.0000  1-NED 0.6111\n"
+        "chars 7  accuracy 0.7143  treesim 0.8095\n"
+        "rssl   bucket          count  accuracy  treesim\n"
+        "       simple              4    0.5000   0.6667\n"
+        "       sub_complex         1    1.0000   1.0000\n"
+        "       complex             2    1.0000   1.0000\n"
+        "occn   bucket          count  accuracy  treesim\n"
+        "       head                1    0.0000   0.6667\n"
+        "       mid                 0         -        -\n"
+        "       low                 3    0.6667   0.6667\n"
+        "       tail                3    1.0000   1.0000\n"
+    )
+
+    def test_pretty_summary_text_agrees_with_the_report(self, capsys, tmp_path):
+        gt, pred, train = tmp_path / "gt.tsv", tmp_path / "pred.tsv", tmp_path / "train.txt"
+        gt.write_text("a\t好妈森\nb\t林林街\nc\t品\n", encoding="utf-8")
+        pred.write_text("a\t妈妈森\nb\t林木街\nc\t品品\n", encoding="utf-8")
+        train.write_text("好好好\n林妈\n", encoding="utf-8")  # occn: 好 3, 林 and 妈 1, else 0
+        report_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                             "--train", str(train), "--table", str(SAMPLE_TABLE),
+                             "--rssl-buckets", "3,5", "--occn-buckets", "3,2,1",
+                             "-o", str(report_path), "--pretty")
+        assert (code, out, err) == (0, self.SUMMARY, "")
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+
+        def fmt(value):
+            return "-" if value is None else f"{value:.4f}"
+
+        want = [f"lines {report['line_count']}  accuracy {fmt(report['line_accuracy'])}  "
+                f"1-NED {fmt(report['mean_one_minus_ned'])}",
+                f"chars {report['char_count']}  accuracy {fmt(report['char_accuracy'])}  "
+                f"treesim {fmt(report['mean_treesim'])}"]
+        for section in ("rssl", "occn"):
+            want.append(f"{section}   bucket          count  accuracy  treesim")
+            want += [" " * 7 + f"{name:<12} {row['count']:>8} {fmt(row['accuracy']):>9} "
+                     f"{fmt(row['mean_treesim']):>8}"
+                     for name, row in report[f"{section}_buckets"].items()]
+        assert out.splitlines() == want
 
     def test_bucket_overrides(self, capsys, sample_table_path, eval_files):
         gt, pred, train = eval_files
@@ -992,6 +1042,21 @@ class TestPlumbing:
         assert (code, out.getvalue()) == (done.returncode, done.stdout.decode()) == (2, "")
         assert err.getvalue().encode("utf-8") == done.stderr
         assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_run_leaves_the_output_path_as_it_was(self, tmp_path, existing):
+        out_path = tmp_path / "out.json"
+        if existing:
+            out_path.write_bytes(b"kept\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-m", "radtree.cli", "parse", b"\xff", "--table",
+                               str(SAMPLE_TABLE), "-o", str(out_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+        assert done.returncode == 2 and done.stderr.startswith(b"radtree: error: ")
+        if existing:
+            assert out_path.read_bytes() == b"kept\n"
+        else:
+            assert not out_path.exists()
 
     def test_missing_table_exits_3(self, capsys):
         code, _, err = run(capsys, "parse", "好", "--table", "/nonexistent/table.tsv")

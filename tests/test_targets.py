@@ -78,9 +78,11 @@ class TestVocab:
         with pytest.raises(UnknownToken):
             build_vocab(sample_table).encode(["nope"])
 
-    def test_extra_tokens(self, sample_table):
-        vocab = build_vocab(sample_table, extra_tokens=["@"])
-        assert vocab.encode(["@"])[0] >= 2
+    def test_chars_add_the_leaf_token_of_each_untabulated_one(self, sample_table):
+        vocab = build_vocab(sample_table, ["@", "好", "@", "\n"])
+        want = sorted(sample_table.radical_inventory() | {"@", "\n"})
+        assert vocab.tokens == (PAD_TOKEN, EOS_TOKEN, *want)
+        assert "好" not in vocab.tokens  # tabulated: its tokens are the table's
 
     def test_save_load_round_trip(self, tmp_path, sample_table):
         vocab = build_vocab(sample_table)
@@ -341,16 +343,20 @@ class TestShapeRows:
         export_targets(list(self.ROWS) * 3, table, 8, "treesim")
         assert built == []  # rows come from the preorder arrays
 
+    # A table token holds no whitespace, so "\n" and "\u2028" come as untabulated
+    # characters, which reach the same escaping as ``char`` and as their leaf token.
+    POOL, ODD_CHARS = ['"', "\\", "A", "\x00", "𠀀"], ["\n", "\u2028"]
+
     def test_jsonl_bytes_equal_json_dumps(self, tmp_path, table):
         rng = random.Random(200)
-        pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
-        trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
+        trees = [random_tree(rng, max_depth=4, leaf_pool=self.POOL) for _ in range(200)]
         chars = [chr(0x4E00 + i) for i in range(len(trees))]
         big = DecompositionTable(dict(zip(chars, map(to_preorder, trees))))
         max_len = max(rssl(t) for t in trees) + 3
         path = tmp_path / "out.jsonl"
-        for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
-            vocab = build_vocab(tab, extra_tokens=[c for c in charset if c not in tab])
+        for tab, charset in ((big, [*chars, *self.ODD_CHARS]),
+                             (table, [*self.ROWS, "@", '"', *self.ODD_CHARS])):
+            vocab = build_vocab(tab, charset)
             for mode in ("naive", "treesim"):
                 records = export_targets(charset, tab, max_len, mode)
                 write_lines(path, export_lines(charset, tab, max_len, mode, 1, vocab))
@@ -360,13 +366,13 @@ class TestShapeRows:
 
     def test_joined_pieces_equal_json_dumps_at_every_lambda(self, table):
         rng = random.Random(200)
-        pool = ['"', "\\", "A", "\n", "\u2028", "\x00", "𠀀"]
-        trees = [random_tree(rng, max_depth=4, leaf_pool=pool) for _ in range(200)]
+        trees = [random_tree(rng, max_depth=4, leaf_pool=self.POOL) for _ in range(200)]
         chars = [chr(0x4E00 + i) for i in range(len(trees))]
         big = DecompositionTable(dict(zip(chars, map(to_preorder, trees))))
         max_len = max(rssl(t) for t in trees) + 3
-        for tab, charset in ((big, chars), (table, [*self.ROWS, "@", '"'])):
-            vocab = build_vocab(tab, extra_tokens=[c for c in charset if c not in tab])
+        for tab, charset in ((big, [*chars, *self.ODD_CHARS]),
+                             (table, [*self.ROWS, "@", '"', *self.ODD_CHARS])):
+            vocab = build_vocab(tab, charset)
             for lam in self.LAMS:
                 for mode in ("naive", "treesim"):
                     records = export_targets(charset, tab, max_len, mode, lam)
@@ -375,7 +381,7 @@ class TestShapeRows:
 
     def test_export_lines_yields_a_head_and_its_shapes_ascii_tail(self, table):
         chars = [*self.ROWS, "@", '"', "甲"]
-        vocab = build_vocab(table, extra_tokens=["@", '"'])
+        vocab = build_vocab(table, chars)
         pieces = list(export_lines(chars, table, 8, "treesim", 1, vocab))
         assert len(pieces) == 2 * len(chars) and all(type(p) is str for p in pieces)
         lines = dumps_lines(export_targets(chars, table, 8, "treesim")).splitlines(keepends=True)
@@ -390,7 +396,7 @@ class TestShapeRows:
 
     def test_export_lines_raises_before_yielding_a_piece(self, table):
         chars = [*self.ROWS, "@"]  # 丙 and 丁 need length 6; the characters before fit in 4
-        vocab = build_vocab(table, extra_tokens=["@"])
+        vocab = build_vocab(table, chars)
         with pytest.raises(SequenceTooLong, match="^character '丙' needs length 6"):
             export_lines(chars, table, 4, "treesim", 1, vocab)
         with pytest.raises(UnknownToken, match="^token '@' is not in the vocabulary$"):
@@ -529,7 +535,7 @@ class TestWeightedCe:
 def test_generated_weights_feed_reference_loss(sample_table):
     # End-to-end: exported weights drive the reference loss to zero on
     # one-hot-correct predictions and above zero otherwise.
-    vocab = build_vocab(sample_table, extra_tokens=["@"])
+    vocab = build_vocab(sample_table, ["@"])
     (record,) = export_targets(["好"], sample_table, 5, "treesim", vocab=vocab)
     n, v = len(record.indices), len(vocab)
     perfect = np.zeros((n, v))

@@ -2,19 +2,22 @@
 
 Each reader takes a leading byte-order mark and CRLF line ends, reports a
 malformed line as ``path:N:``, and keeps its own policy for blank and
-comment lines.  A saved table or vocabulary loads back equal, or ``save``
+comment lines.  A table loads back equal from what ``save`` wrote, or its
+constructor refuses it; a saved vocabulary loads back equal, or ``save``
 refuses it before writing.  Only ``textio`` opens files.
 """
 
 import ast
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radtree
 from radtree.cli import _read_charset
-from radtree.errors import MalformedLine
+from radtree.errors import MalformedLine, TableParseError
 from radtree.metrics import read_corpus_tsv
 from radtree.stats import read_labels
 from radtree.table import DecompositionTable
@@ -88,18 +91,16 @@ def test_blank_and_comment_policy(tmp_path, name, odd):
 ODD_KEYS = ("#", " ", "\x85", "\u2028", "\U00020000", "\t", "\n", "\r")
 
 
-@pytest.mark.parametrize("key", ODD_KEYS, ids=ascii)
+@pytest.mark.parametrize("key", [*ODD_KEYS, "\udcff", "", "ab"], ids=ascii)
 def test_table_key_reloads_equal_or_is_refused(tmp_path, key):
     tokens = ["⿰", "女", "子"]
-    table = DecompositionTable({key: tokens, "妈": tokens})
+    if key in ("#", "\t", "\n", "\r", "\udcff", "", "ab"):
+        with pytest.raises(MalformedLine, match=f"^entry {re.escape(repr(key))}: key is not "):
+            DecompositionTable({"妈": tokens, key: tokens})
+        return
     path = tmp_path / "table.tsv"
-    if key in "#\t\n\r":
-        with pytest.raises(ValueError, match=re.escape(repr(key))):
-            table.save(path)
-        assert not path.exists()
-    else:
-        table.save(path)
-        assert read_table(path) == {key: ("⿰", "女", "子"), "妈": ("⿰", "女", "子")}
+    DecompositionTable({key: tokens, "妈": tokens}).save(path)
+    assert read_table(path) == {key: ("⿰", "女", "子"), "妈": ("⿰", "女", "子")}
 
 
 @pytest.mark.parametrize("keys", [("\ufeff", "妈"), ("妈", "\ufeff")], ids=ascii)
@@ -112,11 +113,12 @@ def test_byte_order_mark_key_reloads_equal(tmp_path, keys):
     assert list(read_table(path).items()) == [(k, ("⿰", "女", "子")) for k in keys]
 
 
-@pytest.mark.parametrize("token", [*ODD_KEYS[:5], "a\tb", "a\nb", "a\rb"], ids=ascii)
+@pytest.mark.parametrize("token", [*ODD_KEYS[:5], "a\tb", "a\nb", "a\rb", "\udcff", "a\udcffb"],
+                         ids=ascii)
 def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
     vocab = RadicalVocab([token, "z"])
     path = tmp_path / "vocab.tsv"
-    if any(c in token for c in "\t\n\r"):
+    if any(c in token for c in "\t\n\r\udcff"):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             vocab.save(path)
         assert not path.exists()
@@ -125,18 +127,52 @@ def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
         assert RadicalVocab.load(path) == vocab
 
 
-@pytest.mark.parametrize("symbol", ["#", "\U00020000", "a b", "a\tb", "a\nb", "\x85", "a\u2028b"],
-                         ids=ascii)
+@pytest.mark.parametrize("symbol", ["#", "\U00020000", "\ufeff", "a b", "a\tb", "a\nb", "\x85",
+                                    "a\u2028b", "\udcff"], ids=ascii)
 def test_table_token_reloads_equal_or_is_refused(tmp_path, symbol):
-    table = DecompositionTable({"好": ["⿰", symbol, "子"]})
+    # load splits the token field on any whitespace; UTF-8 holds no lone surrogate.
+    if symbol.split() != [symbol] or symbol == "\udcff":
+        with pytest.raises(MalformedLine, match=f"^entry '好': token {re.escape(repr(symbol))} "
+                                                "holding whitespace or a lone surrogate at "
+                                                "position 1$"):
+            DecompositionTable({"好": ["⿰", symbol, "子"]})
+        return
     path = tmp_path / "table.tsv"
-    if symbol.split() != [symbol]:  # load splits the token field on any whitespace
-        with pytest.raises(ValueError, match=re.escape(repr("好"))):
-            table.save(path)
-        assert not path.exists()
-    else:
-        table.save(path)
-        assert read_table(path) == {"好": ("⿰", symbol, "子")}
+    DecompositionTable({"好": ["⿰", symbol, "子"]}).save(path)
+    assert read_table(path) == {"好": ("⿰", symbol, "子")}
+
+
+# Text a table file may or may not hold: "#", whitespace, a byte-order mark, no text,
+# a lone surrogate, multi-code-point names and astral characters.  Plain names are
+# drawn three times as often, so that many tables pass the constructor.
+ODD_TEXT = ["#", "\t", "\n", "\r", " ", "\x85", "\u2028", "\ufeff", "", "a b", "\udcff",
+            "a\u0301", "\U00020000"]
+TEXT = st.sampled_from(ODD_TEXT + ["女", "子", "好", "妈"] * 10)
+
+
+def token_sequences():
+    trees = st.recursive(TEXT.map(lambda token: [token]), lambda kids: st.tuples(kids, kids).map(
+        lambda pair: ["⿰", *pair[0], *pair[1]]), max_leaves=4)
+    return trees | st.lists(TEXT | st.just("⿰"), max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(TEXT, token_sequences(), max_size=4))
+def test_a_table_the_constructor_takes_saves_and_reloads_equal(entries):
+    try:
+        table = DecompositionTable(entries)
+    except (MalformedLine, TableParseError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.tsv"), Path(tmp, "second.tsv")
+        table.save(first)
+        reloaded = DecompositionTable.load(first, table.arities)
+        assert reloaded.chars() == table.chars()
+        for char in table.chars():
+            assert reloaded.tokens(char) == table.tokens(char)
+            assert reloaded._preorder(char) == table._preorder(char)
+        reloaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("path, error", [("", FileNotFoundError), (None, TypeError)])
