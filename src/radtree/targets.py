@@ -45,14 +45,18 @@ class RadicalVocab:
     """Token-to-index map with PAD=0 and EOS=1 reserved.
 
     Data tokens occupy indices 2 upward in sorted order, so rebuilding from
-    the same table always gives the identical mapping.
+    the same table always gives the identical mapping; ``load`` returns only
+    such a vocabulary.  A token with a lone surrogate raises ValueError: no
+    vocabulary file or export line can hold it.
     """
 
     def __init__(self, data_tokens: Iterable[str]):
         ordered = sorted(set(data_tokens))
-        for reserved in (PAD_TOKEN, EOS_TOKEN):
-            if reserved in ordered:
-                raise ValueError(f"data token collides with reserved {reserved!r}")
+        for token in ordered:
+            if token == PAD_TOKEN or token == EOS_TOKEN:
+                raise ValueError(f"data token collides with reserved {token!r}")
+            if not utf8(token):
+                raise ValueError(f"token {token!r} is not UTF-8")
         self._tokens: tuple[str, ...] = (PAD_TOKEN, EOS_TOKEN, *ordered)
         self._index = {token: i for i, token in enumerate(self._tokens)}
 
@@ -67,16 +71,17 @@ class RadicalVocab:
             raise UnknownToken(f"token {exc.args[0]!r} is not in the vocabulary") from None
 
     def save(self, path) -> None:
-        """Write ``<token><TAB><index>`` lines by index; ValueError first if one won't load."""
+        """Write ``<token><TAB><index>`` lines by index; ValueError first for a tab, LF or CR."""
         for token in self._tokens:
-            if "\t" in token or "\n" in token or "\r" in token or not utf8(token):
+            if "\t" in token or "\n" in token or "\r" in token:
                 raise ValueError(f"token {token!r} cannot be saved in the vocabulary format")
         write_lines(path, (f"{token}\t{i}\n" for i, token in enumerate(self._tokens)))
 
     @classmethod
     def load(cls, path) -> RadicalVocab:
+        """Return ``cls(data tokens)`` if the file's tokens by index are what ``save`` writes for
+        it, else raise MalformedLine (``path:lineno`` for a bad line) or DuplicateEntry (index)."""
         pairs: dict[int, str] = {}
-        index: dict[str, int] = {}
         for lineno, line in numbered_lines(path):
             if not line:
                 continue
@@ -87,17 +92,11 @@ class RadicalVocab:
                 raise MalformedLine(f"{path}:{lineno}: index {text!r} is not an integer") from None
             if idx in pairs:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate index {idx}")
-            if token in index:
-                raise DuplicateEntry(f"{path}:{lineno}: duplicate token {token!r}")
             pairs[idx] = token
-            index[token] = idx
-        if sorted(pairs) != list(range(len(pairs))) or len(pairs) < 2:
-            raise MalformedLine(f"{path}: indices must be contiguous from 0 and include PAD/EOS")
-        if pairs[PAD_INDEX] != PAD_TOKEN or pairs[EOS_INDEX] != EOS_TOKEN:
-            raise MalformedLine(f"{path}: index 0 must be {PAD_TOKEN} and index 1 {EOS_TOKEN}")
-        vocab = cls.__new__(cls)
-        vocab._tokens = tuple(pairs[i] for i in range(len(pairs)))
-        vocab._index = index
+        vocab = cls(set(pairs.values()) - {PAD_TOKEN, EOS_TOKEN})
+        if vocab.tokens != tuple(map(pairs.get, range(len(pairs)))):
+            raise MalformedLine(f"{path}: expected {PAD_TOKEN} 0, {EOS_TOKEN} 1, then sorted "
+                                "distinct data tokens from 2 with no gap")
         return vocab
 
     def __len__(self) -> int:
@@ -179,13 +178,14 @@ def export_targets(charset: Iterable[str], table: DecompositionTable,
     """Build one TargetRecord per character, in charset order, from _plan.
 
     Every record's index and weight rows have length ``max_len``: data
-    positions, one EOS (weight 1), then PAD (weight 0).  Without ``vocab``,
-    one is built from the table plus the fallback leaf tokens the charset
-    needs.  Each data weight is num / den, equal to float() of the
-    radical_weights Fraction; records of one tree shape share one row.
+    positions, one EOS (weight 1), then PAD (weight 0).  ``vocab`` defaults
+    to ``build_vocab(table, charset)``, as ``export-targets`` builds it.
+    Each data weight is num / den, equal to float() of the radical_weights
+    Fraction; records of one tree shape share one row.
     """
     chars = list(charset)
-    plan, vocab = _plan(chars, table, max_len, mode, lam, vocab)
+    vocab = build_vocab(table, chars) if vocab is None else vocab
+    plan = _plan(chars, table, max_len, mode, lam, vocab)
     return [TargetRecord(char, tokens, (*vocab.encode(tokens), EOS_INDEX,
                                         *[PAD_INDEX] * (len(row) - len(tokens) - 1)), row)
             for char, tokens, (row, _) in zip(chars, map(table.tokens, chars), plan)]
@@ -199,7 +199,7 @@ def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int
     identical inputs give identical bytes.  Every check passes before this returns: a failure
     writes nothing."""
     chars = list(charset)
-    plan, _ = _plan(chars, table, max_len, mode, lam, vocab)
+    plan = _plan(chars, table, max_len, mode, lam, vocab)
     token_json = {token: encode_basestring(token) for token in vocab.tokens}
     index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
     return chain.from_iterable(
@@ -209,9 +209,9 @@ def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int
 
 
 def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, lam,
-          vocab: RadicalVocab | None) -> tuple[list[tuple], RadicalVocab]:
+          vocab: RadicalVocab) -> list[tuple]:
     """Check an export in full; return its shape's ``(row, tail)`` entry per
-    character, in ``chars`` order, and the vocabulary.
+    character, in ``chars`` order.
 
     Raises as _export_ratios, then SequenceTooLong for a character whose
     sequence plus EOS exceeds ``max_len``, UnknownToken for a token outside
@@ -224,8 +224,6 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
     ``(num, den)``.
     """
     ratios = _export_ratios(mode, lam, max_len)
-    if vocab is None:
-        vocab = build_vocab(table, chars)
     known, texts = set(vocab.tokens), {}
     shapes: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
     plan = []
@@ -246,7 +244,7 @@ def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, 
         if not known.issuperset(tokens):
             vocab.encode(tokens)  # raises UnknownToken for the first missing token
         plan.append(entry)
-    return plan, vocab
+    return plan
 
 
 def weighted_ce(prob_rows, targets, weights, reduction: str = "sum") -> float:

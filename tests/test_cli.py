@@ -11,6 +11,7 @@ import pytest
 
 from helpers import dumps_lines, json_text, parse_output_oracle, random_tree
 from radtree.cli import main
+from radtree.metrics import evaluate, read_corpus_tsv
 from radtree.table import DecompositionTable
 from radtree.targets import export_targets, radical_weights
 from radtree.tree import ArityTable, RadicalTree, parse_sequence, to_preorder
@@ -362,6 +363,25 @@ class TestEval:
                      f"{fmt(row['mean_treesim']):>8}"
                      for name, row in report[f"{section}_buckets"].items()]
         assert out.splitlines() == want
+
+    def test_aligned_scope_report_equals_evaluate(self, capsys, tmp_path):
+        # 妈 is deleted: it scores treesim 0 under "all" and leaves the "aligned" mean.
+        gt, pred = tmp_path / "gt.tsv", tmp_path / "pred.tsv"
+        gt.write_text("a\t好妈森\nb\t林林\n", encoding="utf-8")
+        pred.write_text("a\t好森\nb\t林木\n", encoding="utf-8")
+        table = DecompositionTable.load(SAMPLE_TABLE)
+        means = {}
+        for scope in ("all", "aligned"):
+            path = tmp_path / f"{scope}.json"
+            assert run(capsys, "eval", "--gt", str(gt), "--pred", str(pred),
+                       "--table", str(SAMPLE_TABLE), "--treesim-scope", scope,
+                       "-o", str(path)) == (0, "", "")
+            want = evaluate(read_corpus_tsv(gt), read_corpus_tsv(pred), table,
+                            treesim_scope=scope).to_dict()
+            assert path.read_text(encoding="utf-8") == json.dumps(want, ensure_ascii=False) + "\n"
+            assert want["treesim_scope"] == scope
+            means[scope] = want["mean_treesim"]
+        assert means["aligned"] > means["all"]
 
     def test_bucket_overrides(self, capsys, sample_table_path, eval_files):
         gt, pred, train = eval_files

@@ -99,23 +99,9 @@ class TestVocab:
         with pytest.raises(ValueError):
             RadicalVocab([PAD_TOKEN])
 
-    def test_load_rejects_duplicate_token(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text(f"{PAD_TOKEN}\t0\n{EOS_TOKEN}\t1\n{PAD_TOKEN}\t2\n", encoding="utf-8")
-        with pytest.raises(DuplicateEntry, match=r"vocab\.tsv:3: duplicate token '<pad>'"):
-            RadicalVocab.load(path)
-
     @pytest.mark.parametrize("text, error, message", [
         ("<pad>\t0\n<eos>\tone\n", MalformedLine, "vocab.tsv:2: index 'one' is not an integer"),
         ("<pad>\t0\n<eos>\t1\nA\t1\n", DuplicateEntry, "vocab.tsv:3: duplicate index 1"),
-        ("<pad>\t0\n<eos>\t1\nA\t3\n", MalformedLine,
-         "vocab.tsv: indices must be contiguous from 0 and include PAD/EOS"),
-        ("<pad>\t0\n", MalformedLine,
-         "vocab.tsv: indices must be contiguous from 0 and include PAD/EOS"),
-        ("<eos>\t0\n<pad>\t1\n", MalformedLine,
-         "vocab.tsv: index 0 must be <pad> and index 1 <eos>"),
-        ("<pad>\t0\nA\t1\n<eos>\t2\n", MalformedLine,
-         "vocab.tsv: index 0 must be <pad> and index 1 <eos>"),
     ])
     def test_load_rejections(self, tmp_path, text, error, message):
         path = tmp_path / "vocab.tsv"
@@ -124,6 +110,35 @@ class TestVocab:
             RadicalVocab.load(path)
         assert type(info.value) is error
         assert str(info.value) == f"{tmp_path}{os.sep}{message}"
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "<pad>\t0\n",
+        "<pad>\t0\n<eos>\t1\nA\t3\n",  # a gap
+        "<pad>\t1\n<eos>\t2\nA\t3\n",  # no index 0
+        "<pad>\t0\n<eos>\t1\nA\t-1\n",
+        "<eos>\t0\n<pad>\t1\n",
+        "<pad>\t0\nA\t1\n<eos>\t2\n",
+        "<pad>\t0\n<eos>\t1\n<pad>\t2\n",  # a repeated token
+        "<pad>\t0\n<eos>\t1\nA\t2\nA\t3\n",
+        "<pad>\t0\n<eos>\t1\nb\t2\na\t3\n",  # data tokens out of order
+    ], ids=ascii)
+    def test_load_refuses_a_file_save_would_not_write(self, tmp_path, text):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedLine) as info:
+            RadicalVocab.load(path)
+        assert str(info.value) == (f"{path}: expected <pad> 0, <eos> 1, then sorted distinct "
+                                   "data tokens from 2 with no gap")
+
+    def test_load_orders_tokens_by_index_not_by_line(self, tmp_path, sample_table):
+        vocab = build_vocab(sample_table)
+        lines = [f"{token}\t{i}\n" for i, token in enumerate(vocab.tokens)]
+        random.Random(0).shuffle(lines)
+        assert lines[:2] != [f"{PAD_TOKEN}\t0\n", f"{EOS_TOKEN}\t1\n"]
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert RadicalVocab.load(path) == vocab
 
 
 class TestRadicalWeights:
@@ -324,7 +339,7 @@ class TestShapeRows:
 
     def test_plan_shares_one_entry_per_shape(self, table):
         chars = [*self.ROWS, "@"]
-        plan, _ = _plan(chars, table, 8, "treesim", 1, None)
+        plan = _plan(chars, table, 8, "treesim", 1, build_vocab(table, chars))
         entry = dict(zip(chars, plan, strict=True))
         assert entry["甲"] is entry["乙"] is entry["戊"]  # child counts (2, 0, 0)
         assert entry["己"] is entry["@"]
@@ -403,6 +418,25 @@ class TestShapeRows:
             export_lines(chars, table, 8, "treesim", 1, build_vocab(table))
         with pytest.raises(ValueError, match="lambda"):
             export_lines(chars, table, 8, "treesim", float("nan"), vocab)
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"])
+    def test_a_charset_with_a_lone_surrogate_writes_nothing(self, tmp_path, sample_table,
+                                                             existing):
+        # The leaf token of "\udcff" is not UTF-8, so no vocabulary holds it.
+        chars, path = ["好", "\udcff"], tmp_path / "targets.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
+        refused = r"^token '\\udcff' is not UTF-8$"
+        with pytest.raises(ValueError, match=refused):
+            write_lines(path, export_lines(chars, sample_table, 8, "treesim", 1,
+                                           build_vocab(sample_table, chars)))
+        with pytest.raises(ValueError, match=refused):
+            write_lines(path, (json.dumps(record._asdict(), ensure_ascii=False) + "\n"
+                               for record in export_targets(chars, sample_table, 8, "treesim")))
+        with pytest.raises(UnknownToken, match=r"^token '\\udcff' is not in the vocabulary$"):
+            write_lines(path, export_lines(chars, sample_table, 8, "treesim", 1,
+                                           build_vocab(sample_table, ["好"])))
+        assert (path.read_bytes() if path.exists() else None) == existing
 
 
 class TestWeightedCe:

@@ -3,8 +3,8 @@
 Each reader takes a leading byte-order mark and CRLF line ends, reports a
 malformed line as ``path:N:``, and keeps its own policy for blank and
 comment lines.  A table loads back equal from what ``save`` wrote, or its
-constructor refuses it; a saved vocabulary loads back equal, or ``save``
-refuses it before writing.  Only ``textio`` opens files.
+constructor refuses it; a saved vocabulary loads back equal, or its
+constructor or ``save`` refuses it before writing.  Only ``textio`` opens files.
 """
 
 import ast
@@ -21,7 +21,7 @@ from radtree.errors import MalformedLine, TableParseError
 from radtree.metrics import read_corpus_tsv
 from radtree.stats import read_labels
 from radtree.table import DecompositionTable
-from radtree.targets import RadicalVocab, build_vocab
+from radtree.targets import EOS_TOKEN, PAD_TOKEN, RadicalVocab, build_vocab
 from radtree.tree import ArityTable
 
 PACKAGE = Path(radtree.__file__).parent
@@ -113,12 +113,17 @@ def test_byte_order_mark_key_reloads_equal(tmp_path, keys):
     assert list(read_table(path).items()) == [(k, ("⿰", "女", "子")) for k in keys]
 
 
-@pytest.mark.parametrize("token", [*ODD_KEYS[:5], "a\tb", "a\nb", "a\rb", "\udcff", "a\udcffb"],
-                         ids=ascii)
+@pytest.mark.parametrize("token", [*ODD_KEYS[:5], "", "\ufeff", "a\tb", "a\nb", "a\rb", "\udcff",
+                                   "a\udcffb"], ids=ascii)
 def test_vocab_token_reloads_equal_or_is_refused(tmp_path, token):
-    vocab = RadicalVocab([token, "z"])
+    # The constructor refuses a token UTF-8 cannot hold, save one a tab or line end would split.
     path = tmp_path / "vocab.tsv"
-    if any(c in token for c in "\t\n\r\udcff"):
+    if "\udcff" in token:
+        with pytest.raises(ValueError, match=f"^token {re.escape(repr(token))} is not UTF-8$"):
+            RadicalVocab([token, "z"])
+        return
+    vocab = RadicalVocab([token, "z"])
+    if any(c in token for c in "\t\n\r"):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             vocab.save(path)
         assert not path.exists()
@@ -173,6 +178,25 @@ def test_a_table_the_constructor_takes_saves_and_reloads_equal(entries):
             assert reloaded._preorder(char) == table._preorder(char)
         reloaded.save(second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TEXT | st.sampled_from([PAD_TOKEN, EOS_TOKEN]), max_size=5))
+def test_a_vocabulary_save_writes_reloads_equal(tokens):
+    try:
+        vocab = RadicalVocab(tokens)
+    except ValueError:  # a reserved token, or one with a lone surrogate
+        assert {PAD_TOKEN, EOS_TOKEN} & set(tokens) or "\udcff" in "".join(tokens)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "vocab.tsv")
+        try:
+            vocab.save(path)
+        except ValueError:
+            assert any(c in "".join(tokens) for c in "\t\n\r")
+            assert not path.exists()
+            return
+        assert RadicalVocab.load(path) == vocab
 
 
 @pytest.mark.parametrize("path, error", [("", FileNotFoundError), (None, TypeError)])
