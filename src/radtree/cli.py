@@ -223,8 +223,12 @@ def cmd_export_targets(args) -> int:
     if (args.charset is not None) == args.from_table:
         raise RadtreeError("give exactly one of --charset or --from-table")
     _export_ratios(args.mode, args.lam, args.max_len)  # before any file is read
-    table = _load_table(args)
-    chars = table.chars() if args.from_table else _read_charset(args.charset)
+    if args.from_table:
+        table = _load_table(args)
+        chars = table.chars()
+    else:
+        chars = _read_charset(args.charset)  # first: the table keeps only these
+        table = _load_table(args, keep=set(chars))
     vocab = build_vocab(table, chars)
     lines = export_lines(chars, table, args.max_len, args.mode, args.lam, vocab)
     if args.vocab_out is not None:  # first: a vocabulary that cannot be saved stops all output

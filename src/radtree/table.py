@@ -24,6 +24,18 @@ def _shape(seen: dict, tokens: Sequence[str], counts: tuple[int, ...]) -> tuple:
     return shape
 
 
+class _Kinds(dict):
+    """Token -> child count of each token looked up, classified once per distinct token."""
+
+    def __init__(self, arities: ArityTable):
+        super().__init__()
+        self.arities = arities
+
+    def __missing__(self, token: str) -> int:
+        self[token] = count = self.arities.child_counts((token,))[0]
+        return count
+
+
 class DecompositionTable:
     """Maps characters to radical trees.
 
@@ -32,17 +44,20 @@ class DecompositionTable:
     computed once per distinct shape and shared).  The constructor takes just
     the entries a table file holds: a key of one character other than ``#``,
     tab, LF and CR, and one or more tokens without whitespace, all UTF-8.  It
-    and ``load`` check each entry with the same ``_shape`` call; ``load`` also
-    stores each distinct token string once.  ``lookup`` builds a tree;
-    similarity, weights, export and ``parse`` read ``_preorder()`` instead.
-    Lookup is total: a character without an entry is a single leaf of itself,
-    so every metric stays defined over arbitrary text.  Entries never change.
+    and ``load`` classify each distinct token once (``_Kinds``), whose tokens
+    are the inventory, and check each entry with the same ``_shape`` call;
+    ``load`` also stores each distinct token string once.  ``lookup`` builds
+    a tree; similarity, weights, export and ``parse`` read ``_preorder()``
+    instead.  Lookup is total: a character without an entry is a single leaf
+    of itself, so every metric stays defined over arbitrary text.  Entries
+    never change.
     """
 
     def __init__(self, entries: dict[str, Sequence[str]] | None = None,
                  arities: ArityTable | None = None):
         self.arities = arities if arities is not None else ArityTable()
         self._entries, self._shapes, seen = {}, {}, {}
+        kinds = _Kinds(self.arities)
         for char, tokens in (entries or {}).items():
             tokens = tuple(tokens)
             if len(char) != 1 or char in "#\t\n\r" or not utf8(char):
@@ -54,10 +69,11 @@ class DecompositionTable:
                     where = f"at position {pos}" if tokens else "sequence"
                     raise MalformedLine(f"entry {char!r}: {what} {where}")
             try:
-                shape = _shape(seen, tokens, self.arities.child_counts(tokens))
+                shape = _shape(seen, tokens, tuple([*map(kinds.__getitem__, tokens)]))
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"entry {char!r}: {exc}") from exc
             self._entries[char], self._shapes[char] = tokens, shape
+        self._inventory = set(kinds)
 
     @classmethod
     def load(cls, path, arities: ArityTable | None = None, *,
@@ -65,34 +81,41 @@ class DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry.
 
         With ``keep``, only the entries whose key is in it are stored, and any
-        other character looks untabulated.  Every line is checked alike, so a
-        table loads, or fails with the same error, whatever ``keep`` holds; a
-        bit set of one bit per code point marks every key read and so catches
-        every duplicate.
+        other character looks untabulated.  Every line is checked alike and
+        adds its tokens to ``radical_inventory()``, so a table loads, or fails
+        with the same error, and has the same inventory whatever ``keep``
+        holds; a bit set of one bit per code point marks every key read and so
+        catches every duplicate.
         """
         table = cls(arities=arities)
         entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
         canon = {}  # token -> its first string, so a table holds one str per distinct token
-        read = bytearray(0x110000 >> 3)
+        kinds = _Kinds(table.arities)  # every line's tokens, kept or not: the inventory
+        read, count = bytearray(0x110000 >> 3), kinds.__getitem__
         for lineno, line in numbered_lines(path):
-            if not line.strip() or line.startswith("#"):
-                continue
-            char, seq = two_fields(path, lineno, line, "<char><TAB><token sequence>")
-            if len(char) != 1:
-                raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
-            byte, bit = ord(char) >> 3, 1 << (ord(char) & 7)
+            char, _, seq = line.partition("\t")
+            tokens = seq.split()
+            if len(char) != 1 or char == "#" or not tokens or "\t" in seq:  # not a plain entry
+                if not line.strip() or line.startswith("#"):
+                    continue
+                two_fields(path, lineno, line, "<char><TAB><token sequence>")  # one tab
+                if len(char) != 1:
+                    raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
+            code = ord(char)
+            byte, bit = code >> 3, 1 << (code & 7)
             if read[byte] & bit:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
             read[byte] |= bit
-            tokens = seq.split()
             if not tokens:
                 raise MalformedLine(f"{path}:{lineno}: empty token sequence")
+            counts = tuple([*map(count, tokens)])  # the list sizes the tuple: less peak RSS
             try:  # split() leaves no empty token, so an equal shape passes alike
-                shape = _shape(seen, tokens, table.arities.child_counts(tokens))
+                shape = seen.get(counts) or _shape(seen, tokens, counts)
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
             if keep is None or char in keep:
                 entries[char], shapes[char] = tuple(map(canon.setdefault, tokens, tokens)), shape
+        table._inventory = set(kinds)
         return table
 
     def save(self, path) -> None:
@@ -120,8 +143,8 @@ class DecompositionTable:
         return list(self._entries)
 
     def radical_inventory(self) -> set[str]:
-        """All distinct radical and structure tokens used by stored trees."""
-        return set().union(*self._entries.values())
+        """A new set of the distinct tokens of every entry given or loaded, kept or not."""
+        return set(self._inventory)
 
     def __contains__(self, char: str) -> bool:
         return char in self._entries

@@ -89,7 +89,9 @@ class RadicalVocab:
             try:
                 idx = int(text)
             except ValueError:
-                raise MalformedLine(f"{path}:{lineno}: index {text!r} is not an integer") from None
+                idx = None
+            if text != str(idx):  # as save writes it: int() also reads "+1", "01", " 0_2", "٣"
+                raise MalformedLine(f"{path}:{lineno}: index {text!r} is not an integer")
             if idx in pairs:
                 raise DuplicateEntry(f"{path}:{lineno}: duplicate index {idx}")
             pairs[idx] = token

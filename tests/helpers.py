@@ -8,9 +8,10 @@ ancestors, with node weights derived from the closed-form product of
 1/(arity+1) along the root path; edit distance and alignment are the
 textbook full-matrix DP in plain Python; the evaluation report is rebuilt
 one ground-truth character at a time with Fraction sums; the output of
-``radtree parse`` is rebuilt by walking a RadicalTree node by node; export
-lines are ``json.dumps`` of each record's dict; the weighted loss is
-numpy's gather, log and dot.
+``radtree parse`` is rebuilt by walking a RadicalTree node by node; a table
+file is read with one split per line and a set of keys; export lines are
+``json.dumps`` of each record's dict; the weighted loss is numpy's gather,
+log and dot.
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from radtree.errors import MalformedLine, TrailingTokens, Underflow
+from radtree.errors import (
+    DuplicateEntry,
+    MalformedLine,
+    TableParseError,
+    TrailingTokens,
+    Underflow,
+)
 from radtree.metrics import DEFAULT_BUCKETS, BucketSpec, bucket_occn, bucket_rssl
+from radtree.table import DecompositionTable
+from radtree.textio import numbered_lines
 from radtree.tree import ArityTable, RadicalTree, rssl, to_preorder
 
 DEFAULT_ARITIES = ArityTable()
@@ -99,6 +108,39 @@ def subtree_ends_oracle(counts) -> list[int]:
             end += 1
         ends.append(end)
     return ends
+
+
+def load_oracle(path, arities: ArityTable, keep=None) -> tuple[DecompositionTable, set[str]]:
+    """A table file read line by line: skip a blank or ``#`` line, split the
+    rest on tabs, then check the field count, the key, a duplicate key, an
+    empty sequence and the tree (parse_oracle), in that order, with the
+    messages of ``DecompositionTable.load``.  Returns the constructor's table
+    of the lines whose key is in ``keep`` (every line for None) and the
+    tokens of every entry line."""
+    entries, keys, inventory = {}, set(), set()
+    for lineno, line in numbered_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(f"{path}:{lineno}: expected <char><TAB><token sequence>")
+        char, seq = fields
+        if len(char) != 1:
+            raise MalformedLine(f"{path}:{lineno}: key {char!r} must be a single character")
+        if char in keys:
+            raise DuplicateEntry(f"{path}:{lineno}: duplicate entry for {char!r}")
+        keys.add(char)
+        tokens = seq.split()
+        if not tokens:
+            raise MalformedLine(f"{path}:{lineno}: empty token sequence")
+        try:
+            parse_oracle(tokens, arities)
+        except (Underflow, TrailingTokens) as exc:
+            raise TableParseError(f"{path}:{lineno}: {exc}") from exc
+        inventory.update(tokens)
+        if keep is None or char in keep:
+            entries[char] = tokens
+    return DecompositionTable(entries, arities), inventory
 
 
 # Arity tables for the parser oracle: the default one, one with arity 3 as

@@ -13,7 +13,7 @@ from helpers import dumps_lines, json_text, parse_output_oracle, random_tree
 from radtree.cli import main
 from radtree.metrics import evaluate, read_corpus_tsv
 from radtree.table import DecompositionTable
-from radtree.targets import export_targets, radical_weights
+from radtree.targets import build_vocab, export_lines, export_targets, radical_weights
 from radtree.tree import ArityTable, RadicalTree, parse_sequence, to_preorder
 
 SAMPLE_TABLE = Path(__file__).resolve().parent.parent / "data" / "sample_table.tsv"
@@ -574,6 +574,31 @@ class TestExportTargets:
                        "but max_len is 5\n")
         assert not out_path.exists() and not vocab_path.exists()
 
+    def test_charset_export_equals_the_library_over_a_full_load(self, capsys, tmp_path):
+        # Random tables whose dropped entries hold tokens no kept entry has, and charsets
+        # of tabulated, untabulated and repeated characters, or none.
+        rng = random.Random(3005)
+        pool = [chr(0x4E00 + i) for i in range(40)] + ['"', "\\", "𠀀"]
+        untabulated = ["@", '"', "\\", " ", "#", "𠀀", "é", chr(0x5000 + 200)]
+        table_path, charset = tmp_path / "table.tsv", tmp_path / "charset.txt"
+        out, vocab_out, want_vocab = tmp_path / "t.jsonl", tmp_path / "v.tsv", tmp_path / "w.tsv"
+        for _ in range(40):
+            rows = {chr(0x5000 + i): to_preorder(random_tree(rng, max_depth=3, leaf_pool=pool))
+                    for i in rng.sample(range(200), rng.randint(0, 40))}
+            DecompositionTable(rows).save(table_path)
+            chars = rng.choices([*rows, *untabulated], k=rng.choice([0, 1, rng.randint(2, 30)]))
+            charset.write_text("".join(f"{c}\n" for c in chars), encoding="utf-8")
+            max_len = max(map(len, rows.values()), default=1) + 1
+            full = DecompositionTable.load(table_path)
+            vocab = build_vocab(full, chars)
+            vocab.save(want_vocab)
+            want = "".join(export_lines(chars, full, max_len, "treesim", 1, vocab))
+            assert run(capsys, "export-targets", "--charset", str(charset), "--table",
+                       str(table_path), "--max-len", str(max_len), "-o", str(out),
+                       "--vocab-out", str(vocab_out)) == (0, "", "")
+            assert out.read_bytes() == want.encode("utf-8")
+            assert vocab_out.read_bytes() == want_vocab.read_bytes()
+
     def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         rng = random.Random(1103)
         pool = [chr(0x4E00 + i) for i in range(300)] + ['"', "\\", "𠀀", "é"]
@@ -840,6 +865,23 @@ class TestPlumbing:
         assert err.startswith("radtree: io error: ") and err.endswith(f"{str(missing)!r}\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("problem", ["missing", "not UTF-8"])
+    def test_export_targets_reads_the_charset_before_the_table(self, capsys, tmp_path,
+                                                               problem):
+        table, charset = tmp_path / "table.tsv", tmp_path / "charset.txt"
+        table.write_text("好\t⿰ 女\n", encoding="utf-8")  # underflows
+        if problem == "not UTF-8":
+            charset.write_bytes(b"\xe5\xa5\n")
+        code, out, err = run(capsys, "export-targets", "--charset", str(charset),
+                             "--table", str(table), "--max-len", "8")
+        assert out == ""
+        if problem == "missing":
+            assert code == 3
+            assert err.startswith("radtree: io error: ") and err.endswith(f"{str(charset)!r}\n")
+        else:
+            assert (code, err) == (2, f"radtree: error: {charset}: not UTF-8 text "
+                                      "(invalid continuation byte)\n")
+
     def test_stats_reads_its_input_before_the_table(self, capsys, tmp_path):
         table, missing = tmp_path / "table.tsv", tmp_path / "missing.txt"
         table.write_text("好\t⿰ 女\n", encoding="utf-8")  # underflows
@@ -856,11 +898,14 @@ class TestPlumbing:
         (["stats", "--input", "{train}"], "好妈林"),
         (["eval", "--gt", "{gt}", "--pred", "{pred}"], "好妈林"),  # 木 is untabulated
         (["export-targets", "--from-table", "--max-len", "8"], "好妈林森品街"),
+        (["export-targets", "--charset", "{charset}", "--max-len", "8"], "好林"),
     ])
-    def test_each_command_keeps_only_the_entries_it_reads(self, capsys, monkeypatch,
+    def test_each_command_keeps_only_the_entries_it_reads(self, capsys, monkeypatch, tmp_path,
                                                           sample_table_path, eval_files,
                                                           argv, kept):
         gt, pred, train = eval_files
+        charset = tmp_path / "charset.txt"
+        charset.write_text("林\n木\n好\n林\n", encoding="utf-8")  # 木 is untabulated
         loaded, load = [], DecompositionTable.load.__func__
 
         def recording(cls, *args, **kwargs):
@@ -868,7 +913,7 @@ class TestPlumbing:
             return loaded[-1]
 
         monkeypatch.setattr(DecompositionTable, "load", classmethod(recording))
-        argv = [arg.format(gt=gt, pred=pred, train=train) for arg in argv]
+        argv = [arg.format(gt=gt, pred=pred, train=train, charset=charset) for arg in argv]
         code, _, err = run(capsys, *argv, "--table", str(sample_table_path))
         assert (code, err) == (0, "")
         assert [table.chars() for table in loaded] == [list(kept)]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import parse_cases, parse_oracle, random_tree, subtree_ends_oracle
+from helpers import load_oracle, parse_cases, parse_oracle, random_tree, subtree_ends_oracle
 from radtree.errors import DuplicateEntry, MalformedLine, RadtreeError, TableParseError
 from radtree.metrics import evaluate
 from radtree.table import DecompositionTable
@@ -328,13 +328,21 @@ class TestShapeCache:
         export_targets(chars, table, max(len(table.tokens(c)) for c in chars) + 1, "treesim")
 
     def test_load_computes_child_counts_once_per_entry(self, child_counts_calls):
+        """Load and the constructor make each entry's child counts once, from one
+        ``ArityTable.child_counts`` call per distinct token, kept or not."""
         table = DecompositionTable.load(SAMPLE_TABLE)
-        assert sorted(child_counts_calls) == sorted(table.tokens(c) for c in table.chars())
+        distinct = sorted({(token,) for c in table.chars() for token in table.tokens(c)})
+        assert sorted(child_counts_calls) == distinct
+        child_counts_calls.clear()
+        assert DecompositionTable.load(SAMPLE_TABLE, keep=set()).chars() == []
+        assert sorted(child_counts_calls) == distinct
         child_counts_calls.clear()
         rows = {char: list(table.tokens(char)) for char in table.chars()}
         built = DecompositionTable(rows)
-        assert child_counts_calls == [tuple(tokens) for tokens in rows.values()]
+        assert sorted(child_counts_calls) == distinct
         assert [built._preorder(c) for c in rows] == [table._preorder(c) for c in rows]
+        for char in rows:
+            assert table._preorder(char)[1] == table.arities.child_counts(table.tokens(char))
 
     def test_readers_never_recompute_child_counts(self, tables, child_counts_calls):
         for table in tables:
@@ -438,7 +446,64 @@ class TestKeep:
 
     def test_empty_keep_stores_nothing(self, sample_table_path):
         table = DecompositionTable.load(sample_table_path, keep=set())
-        assert len(table) == 0 and table.radical_inventory() == set()
+        assert len(table) == 0 and table.chars() == []
+        # The inventory is the file's, whatever is kept.
+        assert table.radical_inventory() == DecompositionTable.load(
+            sample_table_path).radical_inventory()
+
+    # Each kind of line that is not a plain entry; {key} is an unused key, {old} a used one.
+    ODD_LINES = ["", "\t", " \t ", "# comment\tA B", "#\t⿰ A B", "#", "{key}{key}\tA",
+                 "{key}\t⿰ A\tB", "{key}\tA\t", "\tA", "{old}\tA", "{key}\t", "{key}\t  ",
+                 "{key}\t⿰ A", "{key}\t⿳ A B", "{key}\tA B", "{key}\t⿰ A B C", "{key}",
+                 " \tZ", "{key}\t\u3000A\u3000"]
+
+    def test_load_equals_the_per_line_oracle(self, tmp_path):
+        """Tables with odd lines at random places, random ``keep`` sets: both loaders
+        give equal entries, shapes and inventory, or the same error and message."""
+        rng = random.Random(3003)
+        pool = [chr(0x4E00 + n) for n in range(60)] + ["é", "𠀀", "@"]
+        arities = ArityTable()
+        path = tmp_path / "table.tsv"
+        failures = 0
+        for _ in range(400):
+            keys = rng.sample(pool[:-1], rng.randint(0, 25))
+            lines = [f"{k}\t{' '.join(to_preorder(random_tree(rng, max_depth=3)))}" for k in keys]
+            unused = [c for c in pool if c not in keys]
+            for odd in rng.sample(self.ODD_LINES, rng.randint(0, 3)):
+                old = rng.choice(keys) if keys else "@"
+                lines.insert(rng.randint(0, len(lines)),
+                             odd.format(key=rng.choice(unused), old=old))
+            path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            keep = rng.choice([None, set(), set(keys),
+                               set(rng.sample(pool, rng.randint(0, len(pool))))])
+            try:
+                want, inventory = load_oracle(path, arities, keep)
+            except RadtreeError as exc:
+                failures += 1
+                with pytest.raises(type(exc)) as caught:
+                    DecompositionTable.load(path, arities, keep=keep)
+                assert type(caught.value) is type(exc)
+                assert str(caught.value) == str(exc) and str(exc).startswith(f"{path}:")
+                assert type(caught.value.__cause__) is type(exc.__cause__)
+                continue
+            table = DecompositionTable.load(path, arities, keep=keep)
+            assert table.chars() == want.chars()
+            assert [table._preorder(c) for c in pool] == [want._preorder(c) for c in pool]
+            assert table.radical_inventory() == inventory
+        assert 100 < failures < 300  # both outcomes are tested often
+
+    def test_inventory_is_a_new_set_each_call(self, sample_table, sample_table_path):
+        for table in (sample_table, DecompositionTable.load(sample_table_path),
+                      DecompositionTable.load(sample_table_path, keep=set())):
+            first = table.radical_inventory()
+            expected = set(first)
+            first.add("new")
+            first.discard("女")
+            second = table.radical_inventory()
+            assert second == expected and second is not first
+            second.clear()
+            assert table.radical_inventory() == expected
+            assert table.chars() == [] or table.tokens("好") == ("⿰", "女", "子")
 
     @pytest.mark.parametrize("text", [
         "好 ⿰ 女 子\n",

@@ -101,6 +101,15 @@ class TestVocab:
 
     @pytest.mark.parametrize("text, error, message", [
         ("<pad>\t0\n<eos>\tone\n", MalformedLine, "vocab.tsv:2: index 'one' is not an integer"),
+        # int() reads each of these as the right index; save writes none of them.
+        ("<pad>\t0\n<eos>\t+1\n", MalformedLine, "vocab.tsv:2: index '+1' is not an integer"),
+        ("<pad>\t0\n<eos>\t01\n", MalformedLine, "vocab.tsv:2: index '01' is not an integer"),
+        ("<pad>\t0\n<eos>\t1\na\t 0_2\n", MalformedLine,
+         "vocab.tsv:3: index ' 0_2' is not an integer"),
+        ("<pad>\t0\n<eos>\t1\na\t2\nb\t\u0663\n", MalformedLine,
+         "vocab.tsv:4: index '\u0663' is not an integer"),
+        ("<pad>\t0\n<eos>\t1\na\t2 \n", MalformedLine,
+         "vocab.tsv:3: index '2 ' is not an integer"),
         ("<pad>\t0\n<eos>\t1\nA\t1\n", DuplicateEntry, "vocab.tsv:3: duplicate index 1"),
     ])
     def test_load_rejections(self, tmp_path, text, error, message):
