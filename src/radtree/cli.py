@@ -116,7 +116,7 @@ def cmd_parse(args) -> int:
     if args.seq is not None and not args.seq.split():
         raise RadtreeError(f"--seq has no tokens, got {args.seq!r}")
     char = None if args.char is None else _single_char(args.char, "CHAR")
-    table = _load_table(args, keep={char})  # --seq: {None}, which keeps no entry
+    table = _load_table(args, keep=char or ())  # --seq: (), which keeps no entry
     if args.seq is not None:
         tokens = args.seq.split()
         ends = check_sequence(tokens, table.arities.child_counts(tokens))
@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
     pred = read_corpus_tsv(args.pred, strings=strings)
     del strings
     # Last: it keeps only the characters evaluate can look up, those of the texts.
-    table = _load_table(args, keep=set().union(*gt.values(), *pred.values()))
+    table = _load_table(args, keep="".join([*gt.values(), *pred.values()]))
     report = evaluate(
         gt, pred, table,
         occn=occn,
@@ -228,7 +228,7 @@ def cmd_export_targets(args) -> int:
         chars = table.chars()
     else:
         chars = _read_charset(args.charset)  # first: the table keeps only these
-        table = _load_table(args, keep=set(chars))
+        table = _load_table(args, keep=chars)
     vocab = build_vocab(table, chars)
     lines = export_lines(chars, table, args.max_len, args.mode, args.lam, vocab)
     if args.vocab_out is not None:  # first: a vocabulary that cannot be saved stops all output

@@ -315,15 +315,18 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         raise MissingId(f"{len(missing)} sample id(s) have no prediction: {shown}")
 
     cells = defaultdict(_BucketAcc)  # (rssl bucket, occn bucket or None) -> tally
-    cell_of: dict[str, _BucketAcc] = {}  # gt char -> its cell
-    for char, count in Counter("".join(gt.values())).items():
+    # gt char -> its count, then its cell.  A one-char text's own object is its
+    # char's key, so single-character samples copy no char; other texts' come after.
+    cell_of = Counter(text for text in gt.values() if len(text) == 1)
+    cell_of.update("".join(text for text in gt.values() if len(text) != 1))
+    for char, count in cell_of.items():  # each value replaced in place: no second dict
         occn_name = bucket_occn(occn.get(char, 0), buckets) if occn is not None else None
         cell = cell_of[char] = cells[bucket_rssl(len(table.tokens(char)), buckets), occn_name]
         cell.count += count
 
     line_correct = 0
     ned_by_len: dict[int, int] = {}  # max(len) -> sum of (max(len) - distance)
-    substituted: list[tuple[str, str]] = []
+    substituted: dict[tuple[str, str], int] = {}  # (gt char, pred char) -> times
 
     for sid in ids:
         gt_text = gt[sid]
@@ -337,13 +340,15 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
                     cell_of[char].deleted += 1
                 distance = len(gt_mid) + len(pred_mid)
             elif len(gt_mid) == len(pred_mid) == 1:  # _trim left two different chars
-                substituted.append((gt_mid, pred_mid))
+                pair = gt_mid, pred_mid  # dict.get: a Counter's __missing__ costs 2x here
+                substituted[pair] = substituted.get(pair, 0) + 1
                 distance = 1
             else:
                 edits = _edits(gt_mid, pred_mid)
                 for kind, i, j in edits:
                     if kind == SUBSTITUTE:
-                        substituted.append((gt_mid[i], pred_mid[j]))
+                        pair = gt_mid[i], pred_mid[j]
+                        substituted[pair] = substituted.get(pair, 0) + 1
                     elif kind == DELETE:
                         cell_of[gt_mid[i]].deleted += 1
                 distance = len(edits)
@@ -351,7 +356,7 @@ def evaluate(gt: Mapping[str, str], pred: Mapping[str, str],
         longest = max(len(gt_text), len(pred_text), 1)
         ned_by_len[longest] = ned_by_len.get(longest, 0) + longest - distance
 
-    for (gt_char, pred_char), times in Counter(substituted).items():
+    for (gt_char, pred_char), times in substituted.items():
         cell = cell_of[gt_char]
         cell.substituted += times
         for k in _matched_denominators(table._preorder(gt_char), table._preorder(pred_char)):

@@ -80,18 +80,23 @@ class DecompositionTable:
              keep: Collection[str] | None = None) -> DecompositionTable:
         """Read a decomposition TSV file into a table, checking every entry.
 
-        With ``keep``, only the entries whose key is in it are stored, and any
-        other character looks untabulated.  Every line is checked alike and
-        adds its tokens to ``radical_inventory()``, so a table loads, or fails
-        with the same error, and has the same inventory whatever ``keep``
-        holds; a bit set of one bit per code point marks every key read and so
-        catches every duplicate.
+        With ``keep``, only the entries whose key is one of its one-character
+        elements are stored (a ``str`` keeps its characters), and any other
+        character looks untabulated.  Every line is checked alike and adds its
+        tokens to ``radical_inventory()``, so a table loads, or fails with the
+        same error, and has the same inventory whatever ``keep`` holds.  Bit
+        sets of one bit per code point hold the keys to keep and mark every
+        key read, which catches every duplicate.
         """
         table = cls(arities=arities)
         entries, shapes, seen = table._entries, table._shapes, {}  # seen: counts -> shape
         canon = {}  # token -> its first string, so a table holds one str per distinct token
         kinds = _Kinds(table.arities)  # every line's tokens, kept or not: the inventory
         read, count = bytearray(0x110000 >> 3), kinds.__getitem__
+        kept = bytearray(b"\xff") * len(read) if keep is None else bytearray(len(read))
+        for char in () if keep is None else set(keep):  # distinct first; freed before any entry
+            if len(char) == 1:
+                kept[ord(char) >> 3] |= 1 << (ord(char) & 7)
         for lineno, line in numbered_lines(path):
             char, _, seq = line.partition("\t")
             tokens = seq.split()
@@ -113,7 +118,7 @@ class DecompositionTable:
                 shape = seen.get(counts) or _shape(seen, tokens, counts)
             except (Underflow, TrailingTokens) as exc:
                 raise TableParseError(f"{path}:{lineno}: {exc}") from exc
-            if keep is None or char in keep:
+            if kept[byte] & bit:
                 entries[char], shapes[char] = tuple(map(canon.setdefault, tokens, tokens)), shape
         table._inventory = set(kinds)
         return table

@@ -177,20 +177,26 @@ _HEAD, _TAIL = '{"char": %s, "tokens": [%s], "indices": [%s', '%s], "weights": [
 def export_targets(charset: Iterable[str], table: DecompositionTable,
                    max_len: int, mode: str, lam=1,
                    vocab: RadicalVocab | None = None) -> list[TargetRecord]:
-    """Build one TargetRecord per character, in charset order, from _plan.
+    """Build one TargetRecord per character, in charset order, once _plan's checks pass.
 
     Every record's index and weight rows have length ``max_len``: data
     positions, one EOS (weight 1), then PAD (weight 0).  ``vocab`` defaults
     to ``build_vocab(table, charset)``, as ``export-targets`` builds it.
     Each data weight is num / den, equal to float() of the radical_weights
-    Fraction; records of one tree shape share one row.
+    Fraction; records of one tree shape share one row, made once.
     """
     chars = list(charset)
     vocab = build_vocab(table, chars) if vocab is None else vocab
-    plan = _plan(chars, table, max_len, mode, lam, vocab)
-    return [TargetRecord(char, tokens, (*vocab.encode(tokens), EOS_INDEX,
-                                        *[PAD_INDEX] * (len(row) - len(tokens) - 1)), row)
-            for char, tokens, (row, _) in zip(chars, map(table.tokens, chars), plan)]
+    _plan(chars, table, max_len, mode, lam, vocab)  # every check, before any record
+    ratios, rows, records = _weight_ratios(mode, lam), {}, []  # rows: counts -> weight row
+    for char in chars:
+        tokens, counts, ends = table._preorder(char)
+        pad = max_len - len(tokens) - 1
+        if counts not in rows:
+            rows[counts] = (*(n / d for n, d in ratios((tokens, counts, ends))), 1.0, *[0.0] * pad)
+        indices = (*vocab.encode(tokens), EOS_INDEX, *[PAD_INDEX] * pad)
+        records.append(TargetRecord(char, tokens, indices, rows[counts]))
+    return records
 
 
 def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int,
@@ -199,53 +205,51 @@ def export_lines(charset: Iterable[str], table: DecompositionTable, max_len: int
     ensure_ascii=False)`` and a newline: its head, then its shape's ASCII tail (one object per
     shape), which a UTF-8 text file writes unencoded.  Floats are shortest round-trip, so
     identical inputs give identical bytes.  Every check passes before this returns: a failure
-    writes nothing."""
-    chars = list(charset)
+    writes nothing.  A list ``charset`` is not copied: leave it unchanged until then."""
+    chars = charset if isinstance(charset, list) else list(charset)  # read twice
     plan = _plan(chars, table, max_len, mode, lam, vocab)
     token_json = {token: encode_basestring(token) for token in vocab.tokens}
     index_text = {token: str(i) for i, token in enumerate(vocab.tokens)}
     return chain.from_iterable(
         (_HEAD % (encode_basestring(char), ", ".join(map(token_json.__getitem__, tokens)),
                   ", ".join(map(index_text.__getitem__, tokens))), tail)
-        for char, tokens, (_, tail) in zip(chars, map(table.tokens, chars), plan))
+        for char, tokens, tail in zip(chars, map(table.tokens, chars), plan))
 
 
 def _plan(chars: list[str], table: DecompositionTable, max_len: int, mode: str, lam,
-          vocab: RadicalVocab) -> list[tuple]:
-    """Check an export in full; return its shape's ``(row, tail)`` entry per
-    character, in ``chars`` order.
+          vocab: RadicalVocab) -> list[str]:
+    """Check an export in full; return its shape's line tail per character,
+    in ``chars`` order.
 
     Raises as _export_ratios, then SequenceTooLong for a character whose
     sequence plus EOS exceeds ``max_len``, UnknownToken for a token outside
     ``vocab``.  A node's weight depends only on the child counts along its
-    root path, so a tree's shape decides its weight row (data weights, 1.0,
-    0.0 ...), its length and so its line tail (the EOS/PAD indices and the
-    row as JSON): each is made and checked once per distinct shape, and the
-    characters of one shape share one entry object.  A weight's text is
-    json's for a finite float, ``repr(num / den)``, made once per distinct
-    ``(num, den)``.
+    root path, so a tree's shape decides its weights, its length and so its
+    line tail (the EOS/PAD indices and the weight row as JSON): each is made
+    and checked once per distinct shape, and the characters of one shape
+    share one tail object.  A weight's text is json's for a finite float,
+    ``repr(num / den)``, made once per distinct ``(num, den)``.
     """
     ratios = _export_ratios(mode, lam, max_len)
     known, texts = set(vocab.tokens), {}
-    shapes: dict[tuple[int, ...], tuple[tuple[float, ...], str]] = {}
+    tails: dict[tuple[int, ...], str] = {}
     plan = []
     for char in chars:
         tokens, counts, ends = table._preorder(char)
-        entry = shapes.get(counts)
-        if entry is None:
+        tail = tails.get(counts)
+        if tail is None:
             pad = max_len - len(tokens) - 1
             if pad < 0:
                 raise SequenceTooLong(f"character {char!r} needs length {len(tokens) + 1} "
                                       f"(rssl {len(tokens)} + EOS) but max_len is {max_len}")
             weights = ratios((tokens, counts, ends))
             texts.update((w, repr(w[0] / w[1])) for w in weights if w not in texts)
-            row = (*(num / den for num, den in weights), 1.0, *[0.0] * pad)
-            tail = _TAIL % (f", {EOS_INDEX}" + f", {PAD_INDEX}" * pad,
-                            ", ".join(map(texts.__getitem__, weights)), ", 0.0" * pad)
-            entry = shapes[counts] = row, tail
+            tail = tails[counts] = _TAIL % (f", {EOS_INDEX}" + f", {PAD_INDEX}" * pad,
+                                            ", ".join(map(texts.__getitem__, weights)),
+                                            ", 0.0" * pad)
         if not known.issuperset(tokens):
             vocab.encode(tokens)  # raises UnknownToken for the first missing token
-        plan.append(entry)
+        plan.append(tail)
     return plan
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -672,6 +673,55 @@ class TestDeepTable:
         assert report["char_accuracy"] == 0.0
         assert report["mean_treesim"] == pytest.approx(2 / 3)
         assert report["rssl_buckets"]["complex"]["count"] == 1
+
+
+class TestHeapPeaks:
+    """The traced heap peak of one warm ``main()`` stays under a bound set about 10%
+    above the peak this code reaches; the code that copied what no output reads
+    (the characters of eval's keep set and of evaluate's counts, the export plan's
+    weight rows) peaked above it.  Seeded inputs keep each peak fixed."""
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        assert main(argv) == 0  # warm: lazy imports and caches are not the command's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def save_table(path, chars, rng, max_depth) -> int:
+        """Save random trees of ``chars``; return the longest sequence's length."""
+        entries = {c: to_preorder(random_tree(rng, max_depth)) for c in chars}
+        DecompositionTable(entries).save(path)
+        return max(map(len, entries.values()))
+
+    def test_eval_on_single_character_samples(self, tmp_path):
+        # 20k single-character samples over 5,000 characters, 40% substituted.
+        rng = random.Random(61)
+        chars = [chr(0x4E00 + i) for i in range(5000)]
+        gt = [rng.choice(chars) for _ in range(20000)]
+        pred = [rng.choice(chars) if rng.random() < 0.4 else char for char in gt]
+        self.save_table(tmp_path / "table.tsv", chars, rng, 3)
+        for name, texts in (("gt.tsv", gt), ("pred.tsv", pred)):
+            lines = (f"s{n:06d}\t{text}\n" for n, text in enumerate(texts))
+            (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+        peak = self.traced_peak(["eval", "--table", str(tmp_path / "table.tsv"),
+                                 "--gt", str(tmp_path / "gt.tsv"),
+                                 "--pred", str(tmp_path / "pred.tsv"),
+                                 "-o", str(tmp_path / "report.json")])
+        assert peak < 4_850_000  # CPython 3.11: 4.42 MB, and 5.01 MB with the copies
+
+    def test_export_targets_from_table(self, tmp_path):
+        rng = random.Random(62)
+        chars = [chr(0x4E00 + i) for i in range(8000)]
+        max_len = self.save_table(tmp_path / "table.tsv", chars, rng, 5) + 1
+        peak = self.traced_peak(["export-targets", "--table", str(tmp_path / "table.tsv"),
+                                 "--from-table", "--max-len", str(max_len),
+                                 "-o", str(tmp_path / "targets.jsonl")])
+        assert peak < 8_850_000  # CPython 3.11: 8.05 MB, and 13.25 MB with the copies
 
 
 class TestPlumbing:

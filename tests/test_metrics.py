@@ -406,6 +406,25 @@ class TestEvaluate:
             occn = {c: rng.randint(0, 150) for c in ALPHABET[:-1]} if with_occn else None
             report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
             assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
+        # One- and multi-character texts mixed, texts repeated (some shared as one
+        # object, as read_corpus_tsv shares them), and substitution pairs repeated:
+        # a one-character substitution and the same pair inside a longer line.
+        for _ in range(10):
+            texts = [*rng.sample(ALPHABET, 4), *(random_text(rng, ALPHABET, 6, 2) for _ in "abcd")]
+            gt, pred = {}, {}
+            for i in range(40):
+                text = gt[f"s{i}"] = rng.choice(texts) if rng.random() < 0.7 else "".join(
+                    rng.choice(ALPHABET) for _ in range(rng.randint(1, 3)))
+                roll = rng.random()
+                if roll < 0.3:
+                    pred[f"s{i}"] = text
+                elif roll < 0.6 and len(text) == 1:
+                    pred[f"s{i}"] = rng.choice("好林")  # few pred chars: pairs repeat
+                elif roll < 0.9:
+                    pred[f"s{i}"] = edited(rng, text, 0.5, "好林x")
+            occn = {c: rng.randint(0, 150) for c in ALPHABET} if with_occn else None
+            report = evaluate(gt, pred, sample_table, occn=occn, treesim_scope=scope)
+            assert report.to_dict() == evaluate_oracle(gt, pred, sample_table, occn, scope)
 
     @pytest.mark.parametrize("scope", ["all", "aligned"])
     def test_matches_per_character_oracle_on_deep_trees(self, arities, scope):

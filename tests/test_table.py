@@ -414,27 +414,41 @@ class TestShapeCache:
 class TestKeep:
     """``load(keep=...)`` stores only the kept entries and checks every line alike."""
 
+    @staticmethod
+    def keep_forms(chosen: list[str]) -> list:
+        """``chosen`` as a set, a list with repeats, a dict's keys and one str of its
+        one-character elements, repeated: each keeps the same entries."""
+        one = [c for c in chosen if len(c) == 1]
+        return [set(chosen), chosen + chosen[::2], dict.fromkeys(chosen).keys(),
+                "".join(one + one[:3])]
+
     def test_kept_entries_are_those_of_a_full_load(self, tmp_path):
         rng = random.Random(1801)
-        # Neighbouring code points share a byte of the dropped-key bit set.
-        pool = [chr(0x4E00 + n) for n in range(200)] + ["é", "𠀀", "𠀁", "\U0010FFFF"]
+        # Neighbouring code points share a byte of the bit sets; U+10FFFF is their last bit.
+        pool = [chr(0x4E00 + n) for n in range(200)] + [
+            "é", "𠀀", "𠀁", "\U0010FFF7", "\U0010FFF8", "\U0010FFFE", "\U0010FFFF"]
+        longer = ["", "xy", "𠀀𠀁", "\U0010FFFE\U0010FFFF"]  # these keep nothing
         path = tmp_path / "table.tsv"
         for _ in range(60):
             keys = rng.sample(pool, rng.randint(0, 80))
             DecompositionTable({k: to_preorder(random_tree(rng, max_depth=4))
                                 for k in keys}).save(path)
             full = DecompositionTable.load(path)
-            keep = set(rng.sample(pool, rng.randint(0, len(pool)))) | {"@", "xy"}
-            kept = DecompositionTable.load(path, keep=keep)
-            assert kept.chars() == [c for c in full.chars() if c in keep]
-            for char in pool:
-                if char in keep:
-                    assert kept.tokens(char) == full.tokens(char)
-                    assert kept._preorder(char) == full._preorder(char)
-                else:
-                    assert char not in kept
-                    assert kept.tokens(char) == (char,)
-                    assert kept._preorder(char) == ((char,), (0,), [1])
+            chosen = rng.sample(pool, rng.randint(0, len(pool))) + ["@"]
+            chosen += rng.sample(longer, rng.randint(0, len(longer)))
+            rng.shuffle(chosen)
+            for keep in self.keep_forms(chosen):
+                kept = DecompositionTable.load(path, keep=keep)
+                assert kept.chars() == [c for c in full.chars() if c in chosen]
+                assert kept.radical_inventory() == full.radical_inventory()
+                for char in pool:
+                    if char in chosen:
+                        assert kept.tokens(char) == full.tokens(char)
+                        assert kept._preorder(char) == full._preorder(char)
+                    else:
+                        assert char not in kept
+                        assert kept.tokens(char) == (char,)
+                        assert kept._preorder(char) == ((char,), (0,), [1])
 
     def test_keep_none_and_every_key_store_the_whole_table(self, sample_table_path):
         full = DecompositionTable.load(sample_table_path)
@@ -529,7 +543,8 @@ class TestKeep:
         with pytest.raises(RadtreeError) as full:
             DecompositionTable.load(path)
         rng = random.Random(text)
-        for keep in (set(), keys, {rng.choice(sorted(keys))}, keys - {rng.choice(sorted(keys))}):
+        chosen = sorted(keys - {rng.choice(sorted(keys))}) + ["xy"]
+        for keep in (set(), keys, {rng.choice(sorted(keys))}, *self.keep_forms(chosen)):
             with pytest.raises(RadtreeError) as kept:
                 DecompositionTable.load(path, keep=keep)
             assert type(kept.value) is type(full.value)

@@ -28,6 +28,7 @@ from radtree.targets import (
     PAD_INDEX,
     PAD_TOKEN,
     RadicalVocab,
+    TargetRecord,
     _plan,
     build_vocab,
     export_lines,
@@ -402,6 +403,32 @@ class TestShapeRows:
                     records = export_targets(charset, tab, max_len, mode, lam)
                     joined = "".join(export_lines(charset, tab, max_len, mode, lam, vocab))
                     assert joined == dumps_lines(records)
+
+    def test_records_equal_the_parsed_lines(self, arities):
+        """export_targets' records are export_lines' lines read back with tuples for
+        lists, value and type alike, and records of one shape share one row object."""
+        rng = random.Random(3131)
+        for _ in range(6):
+            n = rng.randint(1, 80)
+            trees = [random_tree(rng, max_depth=rng.randint(1, 5), leaf_pool=self.POOL)
+                     for _ in range(n)]
+            chars = [chr(0x4E00 + i) for i in range(n)]
+            table = DecompositionTable(dict(zip(chars, map(to_preorder, trees))), arities)
+            charset = [*rng.sample(chars, rng.randint(0, n)), "@", chars[0], *self.ODD_CHARS]
+            max_len = max(map(rssl, trees)) + rng.randint(1, 3)
+            vocab = build_vocab(table, charset)
+            for lam in (0, Fraction(1, 3), 1e-300, 2 ** 70):
+                for mode in ("naive", "treesim"):
+                    records = export_targets(charset, table, max_len, mode, lam, vocab)
+                    text = "".join(export_lines(charset, table, max_len, mode, lam, vocab))
+                    parsed = [TargetRecord(**{key: tuple(v) if type(v) is list else v
+                                              for key, v in json.loads(line).items()})
+                              for line in text.split("\n")[:-1]]
+                    assert list(map(repr, records)) == list(map(repr, parsed))
+                    rows = {}
+                    for record in records:
+                        shape = table._preorder(record.char)[1]
+                        assert rows.setdefault(shape, record.weights) is record.weights
 
     def test_export_lines_yields_a_head_and_its_shapes_ascii_tail(self, table):
         chars = [*self.ROWS, "@", '"', "甲"]
